@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 verdict holds / success, 1 verdict fails, 2 usage or parse
-error, 3 internal assertion failure.
+error, 3 internal error (any crash, with a one-line message).
 """
 
 from __future__ import annotations
@@ -367,6 +367,9 @@ def run(argv=None) -> int:
     except HyperflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # a crash must not read as a failed verdict (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

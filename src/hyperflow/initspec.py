@@ -158,6 +158,6 @@ def product_delta(per_var: list[FiniteDist]) -> FiniteDist:
     acc = FiniteDist.point(())
     for dist in per_var:
         acc = FiniteDist(
-            [(t + (v,), w * q) for t, w in acc.items() for v, q in dist.items()]
+            [(t + (v,), w * q) for t, w in acc for v, q in dist]
         )
     return acc

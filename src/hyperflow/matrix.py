@@ -86,11 +86,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix([list(col) for col in zip(*self.rows)])
 
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
     def dot(self, other: "RatMatrix") -> Fraction:
         """Entrywise dot product (the trace form of matrix dot)."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -120,14 +115,6 @@ class RatMatrix:
     def check_refinement_matrix(self):
         if not self.is_column_stochastic():
             raise NotRefinementMatrix(f"not column-stochastic: {self!r}")
-
-    def pad(self, nrows: int, ncols: int) -> "RatMatrix":
-        """Extend with zero rows/columns to at least the given shape."""
-        if nrows < self.nrows or ncols < self.ncols:
-            raise ValueError("pad cannot shrink")
-        rows = [row + [ZERO] * (ncols - self.ncols) for row in self.rows]
-        rows += [[ZERO] * ncols for _ in range(nrows - self.nrows)]
-        return RatMatrix(rows)
 
 
 def solve_linear(a: RatMatrix, b: Sequence[Fraction]) -> list[Fraction]:

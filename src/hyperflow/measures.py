@@ -55,14 +55,14 @@ def guesswork(alpha) -> MeasureKind:
 def ft(hyper: HyperDist) -> FiniteDist:
     """Overall joint output distribution over (visible, hidden) pairs."""
     acc = []
-    for s, w in hyper.items():
-        acc.extend(((s.v, h), w * q) for h, q in s.delta.items())
+    for s, w in hyper:
+        acc.extend(((s.v, h), w * q) for h, q in s.delta)
     return FiniteDist(acc)
 
 
 def bayes_vuln(hyper: HyperDist) -> Fraction:
     """One-guess success chance: expected maximum posterior probability."""
-    return sum((w * s.delta.max_weight() for s, w in hyper.items()), ZERO)
+    return sum((w * s.delta.max_weight() for s, w in hyper), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +126,12 @@ def _check_precision(precision: int):
 def shannon_entropy(hyper: HyperDist, precision: int = DEFAULT_PRECISION_BITS) -> ShannonValue:
     """Expected Shannon entropy of the inner distributions, in bits."""
     _check_precision(precision)
+    # floating-point sums depend on their order: the canonical order of
+    # items() keeps the value identical however the hyper was built
     with mpmath.workprec(precision + 32):
         total = _entropy_terms(
             (w, [q for _, q in s.delta.items()]) for s, w in hyper.items()
         )
-        lo, hi = _enclose(total, precision)
-        return ShannonValue(+total, precision, lo, hi)
-
-
-def shannon_entropy_fraction(fraction: FiniteDist, precision: int = DEFAULT_PRECISION_BITS) -> ShannonValue:
-    """Entropy contribution of one partition fraction: its weight times the
-    entropy of its normalisation."""
-    _check_precision(precision)
-    with mpmath.workprec(precision + 32):
-        w = fraction.weight
-        if w == 0:
-            total = mpmath.mpf(0)
-        else:
-            total = _entropy_terms([(w, [q / w for _, q in fraction.items()])])
         lo, hi = _enclose(total, precision)
         return ShannonValue(+total, precision, lo, hi)
 
@@ -166,37 +154,27 @@ def shannon_entropy_partition(fractions, precision: int = DEFAULT_PRECISION_BITS
 # ---------------------------------------------------------------------------
 
 
-def _padded_probs(delta: FiniteDist, n: int) -> list[Fraction]:
-    """Probabilities padded with implicit zeros to the full domain size."""
-    probs = [w for _, w in delta.items()]
-    probs += [ZERO] * max(0, n - len(probs))
-    return probs
-
-
-def _sum_smallest(probs: list[Fraction], i: int) -> Fraction:
-    return sum(sorted(probs)[:i], ZERO)
-
-
-def _sum_largest(probs: list[Fraction], i: int) -> Fraction:
-    return sum(sorted(probs, reverse=True)[:i], ZERO)
+def _descending(delta: FiniteDist) -> list[Fraction]:
+    """Support probabilities, largest first: the best guessing order."""
+    return sorted((w for _, w in delta), reverse=True)
 
 
 def _hidden_count(hyper: HyperDist, n: Optional[int]) -> int:
-    biggest = max((len(s.delta) for s, _ in hyper.items()), default=1)
+    biggest = max((len(s.delta) for s, _ in hyper), default=1)
     return max(biggest, n or 0)
 
 
 def guessing_entropy(hyper: HyperDist, n_hidden: Optional[int] = None) -> Fraction:
     """Least average number of equality guesses to find the hidden value.
 
-    `n_hidden` is the declared hidden-domain size; support probabilities are
-    padded with zeros up to it (the padding never changes the total).
+    Guessing in order of decreasing probability, the k-th guess finds the
+    value with the k-th largest probability.  `n_hidden` is the declared
+    hidden-domain size; values outside the support have probability zero
+    and never change the total.
     """
-    n = _hidden_count(hyper, n_hidden)
     total = ZERO
-    for s, w in hyper.items():
-        probs = _padded_probs(s.delta, n)
-        total += w * sum((_sum_smallest(probs, i) for i in range(1, n + 1)), ZERO)
+    for s, w in hyper:
+        total += w * sum((k * p for k, p in enumerate(_descending(s.delta), 1)), ZERO)
     return total
 
 
@@ -207,13 +185,13 @@ def marginal_guesswork(hyper: HyperDist, alpha, n_hidden: Optional[int] = None) 
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0,1]")
     n = _hidden_count(hyper, n_hidden)
-    for i in range(1, n + 1):
-        got = sum(
-            (w * _sum_largest(_padded_probs(s.delta, n), i) for s, w in hyper.items()),
-            ZERO,
-        )
+    # the i-th guess adds, per split-state, its i-th largest probability
+    columns = [(w, _descending(s.delta)) for s, w in hyper]
+    got = ZERO
+    for i in range(n):
+        got += sum((w * probs[i] for w, probs in columns if i < len(probs)), ZERO)
         if got >= alpha:
-            return i
+            return i + 1
     raise AssertionError("unreachable: i = n always reaches probability 1")
 
 
@@ -235,8 +213,8 @@ class CompareVerdict:
 
 def _domains_match(a: HyperDist, b: HyperDist) -> bool:
     def shape(h):
-        vlens = {len(s.v) for s, _ in h.items()}
-        hlens = {len(t) for s, _ in h.items() for t, _ in s.delta.items()}
+        vlens = {len(s.v) for s, _ in h}
+        hlens = {len(t) for s, _ in h for t, _ in s.delta}
         return vlens, hlens
 
     return shape(a) == shape(b)

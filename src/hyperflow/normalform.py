@@ -55,7 +55,7 @@ class StateIndex:
 
     def row_of_split_state(self, s: SplitState) -> RatMatrix:
         row = [ZERO] * self.size
-        for h, w in s.delta.items():
+        for h, w in s.delta:
             row[self.index(s.v, h)] = w
         return RatMatrix([row])
 
@@ -91,7 +91,7 @@ def classical_matrix(p: A.Program, index: StateIndex) -> RatMatrix:
     for v, h in index.pairs:
         out = classical_eval(p, index.scope, (v, h))
         row = [ZERO] * index.size
-        for (v2, h2), w in out.items():
+        for (v2, h2), w in out:
             row[index.index(v2, h2)] += w
         rows.append(row)
     return RatMatrix(rows)

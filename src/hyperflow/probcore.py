@@ -1,9 +1,10 @@
 """Exact rational arithmetic, finite values, and discrete (sub-)distributions.
 
 Everything here is exact: weights are `fractions.Fraction`, never floats.
-Distributions are immutable and canonical (zero-weight entries dropped,
-entries kept in a fixed total order), so structural equality coincides
-with semantic equality and serialisation is deterministic.
+Distributions are immutable, canonical (zero weights dropped, duplicate
+points merged) and dict-backed, so equality ignores construction order.
+Nothing is sorted while they are built: `value_key` orders points only
+where order shows (`items()`, `repr`, `key()`), so output is deterministic.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NegativeWeight, WeightOverflow, ZeroCondition, ZeroWeight
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,26 +53,41 @@ def parse_rat(text: str) -> Fraction:
 _KIND_RANK = {"bool": 0, "num": 1, "sym": 2}
 
 
-@dataclass(frozen=True)
 class Value:
-    """A scalar from a finite domain: boolean, exact rational, or enum symbol."""
+    """A scalar from a finite domain: boolean, exact rational, or enum symbol.
 
-    kind: str  # 'bool' | 'num' | 'sym'
-    payload: Union[bool, Fraction, str]
+    Immutable, with its sort key and hash computed once; the key carries
+    the kind, so `vnum(1) != vbool(True)`.
+    """
+
+    __slots__ = ("kind", "payload", "_key", "_hash")
+
+    def __init__(self, kind: str, payload: Union[bool, Fraction, str]):
+        self.kind, self.payload = kind, payload  # kind: 'bool' | 'num' | 'sym'
+        self._key = (_KIND_RANK[kind], payload)
+        self._hash = hash(self._key)
 
     def key(self):
-        return (_KIND_RANK[self.kind], self.payload)
+        return self._key
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is Value and self._hash == other._hash and self._key == other._key
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         if self.kind == "bool":
             return "true" if self.payload else "false"
-        if self.kind == "num":
-            q = self.payload
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return self.payload
+        return str(self.payload)  # a Fraction prints as "n" or "n/d"
 
     def __repr__(self):
         return f"Value({self})"
+
+
+_TRUE, _FALSE = Value("bool", True), Value("bool", False)
 
 
 def vnum(x) -> Value:
@@ -81,7 +95,7 @@ def vnum(x) -> Value:
 
 
 def vbool(b: bool) -> Value:
-    return Value("bool", bool(b))
+    return _TRUE if b else _FALSE
 
 
 def vsym(name: str) -> Value:
@@ -91,18 +105,16 @@ def vsym(name: str) -> Value:
 def value_key(x):
     """Total order key for values, tuples of values, and distributions."""
     if isinstance(x, Value):
-        return x.key()
+        return x._key
     if isinstance(x, tuple):
-        return tuple(value_key(e) for e in x)
-    if isinstance(x, FiniteDist):
-        return tuple((value_key(v), w) for v, w in x.items())
+        return tuple([value_key(e) for e in x])
     if isinstance(x, bool):
         return (_KIND_RANK["bool"], x)
     if isinstance(x, (int, Fraction)):
         return (_KIND_RANK["num"], x)
     if isinstance(x, str):
         return (_KIND_RANK["sym"], x)
-    # split-states expose their own .key()
+    # distributions and split-states expose their own .key()
     return x.key()
 
 
@@ -116,11 +128,12 @@ class Domain:
     def __post_init__(self):
         if not self.values:
             raise ValueError(f"domain {self.name} is empty")
-        if len(set(self.values)) != len(self.values):
+        object.__setattr__(self, "_members", frozenset(self.values))
+        if len(self._members) != len(self.values):
             raise ValueError(f"domain {self.name} has duplicate values")
 
     def __contains__(self, v: Value) -> bool:
-        return v in self.values
+        return v in self._members
 
     def __len__(self):
         return len(self.values)
@@ -137,31 +150,25 @@ class FiniteDist:
     """An immutable sub-distribution over hashable points (weight <= 1).
 
     Construction canonicalises: duplicate points have their weights added,
-    zero-weight points are dropped, and entries are sorted by `value_key`.
+    zero-weight points are dropped.  Iteration yields (point, weight) pairs
+    unordered; `items()`, `support`, `repr` and `key()` sort by `value_key`.
     """
 
-    __slots__ = ("_entries", "_weight", "_hash")
+    __slots__ = ("_weights", "weight", "_hash")
 
-    def __init__(self, pairs: Iterable[tuple[object, Fraction]], _trusted=False):
-        if _trusted:
-            entries = tuple(pairs)
-            total = sum((w for _, w in entries), ZERO)
-        else:
-            acc: dict = {}
-            for v, w in pairs:
-                w = rat(w)
-                if w < 0:
-                    raise NegativeWeight(f"negative weight {w} at {v!r}")
-                if w == 0:
-                    continue
-                acc[v] = acc.get(v, ZERO) + w
-            total = sum(acc.values(), ZERO)
-            if total > 1:
-                raise WeightOverflow(f"weights sum to {total} > 1")
-            entries = tuple(sorted(acc.items(), key=lambda kv: value_key(kv[0])))
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_weight", total)
-        object.__setattr__(self, "_hash", hash(entries))
+    def __init__(self, pairs: Iterable[tuple[object, Fraction]]):
+        acc: dict = {}
+        for v, w in pairs:
+            w = w if w.__class__ is Fraction else rat(w)
+            if w.numerator < 0:
+                raise NegativeWeight(f"negative weight {w} at {v!r}")
+            if w.numerator:
+                old = acc.get(v)
+                acc[v] = w if old is None else old + w
+        self.weight = sum(acc.values(), ZERO)
+        if self.weight > 1:
+            raise WeightOverflow(f"weights sum to {self.weight} > 1")
+        self._weights, self._hash = acc, None
 
     # -- constructors ----------------------------------------------------
 
@@ -180,48 +187,43 @@ class FiniteDist:
     # -- queries ----------------------------------------------------------
 
     @property
-    def weight(self) -> Fraction:
-        return self._weight
-
-    @property
     def is_full(self) -> bool:
-        return self._weight == 1
+        return self.weight == 1
 
     @property
     def support(self) -> tuple:
-        return tuple(v for v, _ in self._entries)
+        return tuple(v for v, _ in self.items())
 
     def items(self) -> tuple[tuple[object, Fraction], ...]:
-        return self._entries
+        return tuple(sorted(self._weights.items(), key=lambda kv: value_key(kv[0])))
 
     def __getitem__(self, v) -> Fraction:
-        for u, w in self._entries:
-            if u == v:
-                return w
-        return ZERO
+        return self._weights.get(v, ZERO)
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._weights)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._weights.items())
 
     def __eq__(self, other):
-        return isinstance(other, FiniteDist) and self._entries == other._entries
+        return isinstance(other, FiniteDist) and self._weights == other._weights
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._weights.items()))
         return self._hash
 
     def __repr__(self):
-        body = ", ".join(f"{v}@{rat_str(w)}" for v, w in self._entries)
+        body = ", ".join(f"{v}@{rat_str(w)}" for v, w in self.items())
         return "{" + body + "}"
 
     def key(self):
-        return value_key(self)
+        return tuple(sorted([(value_key(v), w) for v, w in self]))
 
     def max_weight(self) -> Fraction:
         """Largest single weight (0 for the empty sub-distribution)."""
-        return max((w for _, w in self._entries), default=ZERO)
+        return max(self._weights.values(), default=ZERO)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -229,14 +231,14 @@ class FiniteDist:
         c = rat(c)
         if c < 0:
             raise NegativeWeight(f"negative scale {c}")
-        return FiniteDist([(v, w * c) for v, w in self._entries])
+        return FiniteDist([(v, w * c) for v, w in self])
 
     def add(self, other: "FiniteDist") -> "FiniteDist":
-        return FiniteDist(list(self._entries) + list(other._entries))
+        return FiniteDist([*self, *other])
 
     def map(self, f: Callable) -> "FiniteDist":
         """Push forward through f (weights of equal images add)."""
-        return FiniteDist([(f(v), w) for v, w in self._entries])
+        return FiniteDist([(f(v), w) for v, w in self])
 
 
 def mk_dist(pairs: Iterable[tuple[object, Fraction]]) -> FiniteDist:
@@ -248,8 +250,7 @@ def normalize(d: FiniteDist) -> FiniteDist:
     """Scale d by 1/weight(d); the result is a full distribution."""
     if d.weight == 0:
         raise ZeroWeight("cannot normalise a zero-weight distribution")
-    inv = 1 / d.weight
-    return FiniteDist([(v, w * inv) for v, w in d.items()])
+    return d.scale(1 / d.weight)
 
 
 def expected_value(d: FiniteDist, f: Callable):
@@ -259,15 +260,13 @@ def expected_value(d: FiniteDist, f: Callable):
     FiniteDist); otherwise f's values are coerced to exact rationals
     (booleans as 0/1) and a Fraction is returned.
     """
-    pairs = [(w, f(v)) for v, w in d.items()]
-    if not pairs:
-        return ZERO
-    if isinstance(pairs[0][1], FiniteDist):
+    pairs = [(w, f(v)) for v, w in d]
+    if pairs and isinstance(pairs[0][1], FiniteDist):
         acc = []
         for w, dist in pairs:
             if not isinstance(dist, FiniteDist):
                 raise TypeError("f must consistently return distributions")
-            acc.extend((u, w * q) for u, q in dist.items())
+            acc.extend((u, w * q) for u, q in dist)
         return FiniteDist(acc)
     return sum((w * rat(x) for w, x in pairs), ZERO)
 
@@ -280,14 +279,13 @@ def posterior(d: FiniteDist, weight_fn: Callable) -> FiniteDist:
     weight functions make this plain conditioning.
     """
     scaled = []
-    total = ZERO
-    for v, w in d.items():
+    for v, w in d:
         q = rat(weight_fn(v))
         if q < 0:
             raise NegativeWeight(f"negative conditioning weight {q} at {v!r}")
         if q > 0:
             scaled.append((v, w * q))
-            total += w * q
+    total = sum((w for _, w in scaled), ZERO)
     if total == 0:
         raise ZeroCondition("conditioning on a probability-zero observation")
     inv = 1 / total

@@ -45,12 +45,7 @@ class Partition:
         return iter(self.fractions)
 
     def h_support(self) -> list:
-        seen = []
-        for f in self.fractions:
-            for h, _ in f.items():
-                if h not in seen:
-                    seen.append(h)
-        return sorted(seen, key=value_key)
+        return sorted({h for f in self.fractions for h, _ in f}, key=value_key)
 
     def matrix(self, h_columns) -> RatMatrix:
         """Fractions as rows over the given hidden-value column order."""
@@ -65,7 +60,7 @@ def extract_partition(hyper: HyperDist, v) -> Partition:
     Reduced by construction: canonical hypers never hold two split-states
     with the same v and similar inner distributions.
     """
-    fractions = [s.delta.scale(w) for s, w in hyper.items() if s.v == v]
+    fractions = [s.delta.scale(w) for s, w in hyper if s.v == v]
     return Partition.of(fractions, reduced=True)
 
 
@@ -180,10 +175,7 @@ def check_refinement(
     if ft(spec) != ft(impl):
         return NotRefined(v=None, functional_mismatch=True)
     per_v: dict = {}
-    vs = sorted(
-        {s.v for s, _ in spec.items()} | {s.v for s, _ in impl.items()},
-        key=value_key,
-    )
+    vs = sorted({s.v for s, _ in spec} | {s.v for s, _ in impl}, key=value_key)
     for v in vs:
         pi_s = extract_partition(spec, v)
         pi_i = extract_partition(impl, v)

@@ -84,7 +84,11 @@ class SplitState:
 
 
 class HyperDist:
-    """Canonical outer distribution over split-states (weight exactly 1)."""
+    """Canonical outer distribution over split-states (weight exactly 1).
+
+    Iterating yields (split-state, weight) pairs unordered; `items()` and
+    `repr` give them in the canonical order of `SplitState.key`.
+    """
 
     __slots__ = ("outer",)
 
@@ -92,7 +96,7 @@ class HyperDist:
         outer = FiniteDist(pairs)
         if not outer.is_full:
             raise EvalError(f"hyper-distribution has outer weight {outer.weight} != 1")
-        object.__setattr__(self, "outer", outer)
+        self.outer = outer
 
     @classmethod
     def point(cls, s: SplitState) -> "HyperDist":
@@ -117,22 +121,16 @@ class HyperDist:
         return "Hyper{" + ", ".join(f"{s!r}@{rat_str(w)}" for s, w in self.items()) + "}"
 
     def visible_values(self) -> list[tuple[Value, ...]]:
-        seen = []
-        for s, _ in self.items():
-            if s.v not in seen:
-                seen.append(s.v)
-        return sorted(seen, key=value_key)
+        return sorted({s.v for s, _ in self}, key=value_key)
 
 
 def reduce_hyper(pairs) -> HyperDist:
-    """Merge equal split-states, drop zero weights, sort canonically.
+    """Merge equal split-states and drop zero weights.
 
     Only *equal* (v, delta) pairs merge; similar-but-unequal inner
     distributions stay separate, since telling them apart is exactly the
     attacker power the model grants.
     """
-    if isinstance(pairs, HyperDist):
-        return HyperDist(pairs.items())
     return HyperDist(pairs)
 
 
@@ -309,7 +307,7 @@ def _classical(p, scope: Scope, v, h, consts) -> FiniteDist:
             i = vis_names.index(p.target)
             decl = scope.visible[i]
             out = []
-            for value, w in dist.items():
+            for value, w in dist:
                 _check_domain(decl, value)
                 out.append(((v[:i] + (value,) + v[i + 1:], h), w))
             return FiniteDist(out)
@@ -318,7 +316,7 @@ def _classical(p, scope: Scope, v, h, consts) -> FiniteDist:
             i = hid_names.index(p.target)
             decl = scope.hidden[i]
             out = []
-            for value, w in dist.items():
+            for value, w in dist:
                 _check_domain(decl, value)
                 out.append(((v, h[:i] + (value,) + h[i + 1:]), w))
             return FiniteDist(out)
@@ -326,18 +324,18 @@ def _classical(p, scope: Scope, v, h, consts) -> FiniteDist:
     if isinstance(p, A.Seq):
         first = _classical(p.first, scope, v, h, consts)
         acc: list = []
-        for (v1, h1), w in first.items():
-            for st, w2 in _classical(p.second, scope, v1, h1, consts).items():
+        for (v1, h1), w in first:
+            for st, w2 in _classical(p.second, scope, v1, h1, consts):
                 acc.append((st, w * w2))
         return FiniteDist(acc)
     if isinstance(p, A.GeneralChoice):
         q = eval_prob(p.prob, _env_of(scope, v, h, consts))
         acc = []
         if q > 0:
-            acc.extend((st, q * w) for st, w in _classical(p.left, scope, v, h, consts).items())
+            acc.extend((st, q * w) for st, w in _classical(p.left, scope, v, h, consts))
         if q < 1:
             acc.extend(
-                (st, (1 - q) * w) for st, w in _classical(p.right, scope, v, h, consts).items()
+                (st, (1 - q) * w) for st, w in _classical(p.right, scope, v, h, consts)
             )
         return FiniteDist(acc)
     if isinstance(p, A.Cond):
@@ -368,10 +366,10 @@ def _classical(p, scope: Scope, v, h, consts) -> FiniteDist:
                 else FiniteDist.uniform(decl.domain.values)
             )
             acc = []
-            for value, w in dist.items():
+            for value, w in dist:
                 _check_domain(decl, value)
                 nv, nh = (vv + (value,), hh) if decl.visibility.kind == "vis" else (vv, hh + (value,))
-                for st, w2 in enter(nv, nh, k + 1).items():
+                for st, w2 in enter(nv, nh, k + 1):
                     acc.append((st, w * w2))
             return FiniteDist(acc)
 
@@ -396,7 +394,7 @@ def hide_embed(joint: FiniteDist) -> HyperDist:
     with the conditional hidden distribution, weighted by the projection.
     """
     groups: dict[tuple, list] = {}
-    for (v, h), w in joint.items():
+    for (v, h), w in joint:
         groups.setdefault(v, []).append((h, w))
     pairs = []
     for v, entries in groups.items():
@@ -421,8 +419,8 @@ def eval_atomic_block(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
     """
     consts = _consts(scope)
     acc: list = []
-    for h, w in s.delta.items():
-        for st, w2 in _classical(p, scope, s.v, h, consts).items():
+    for h, w in s.delta:
+        for st, w2 in _classical(p, scope, s.v, h, consts):
             acc.append((st, w * w2))
     return hide_embed(FiniteDist(acc))
 
@@ -465,8 +463,8 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
             # outer: push the chosen value through delta; inner: condition
             # delta on having produced that value
             joint: dict[Value, list] = {}
-            for h, w in s.delta.items():
-                for value, q in dist_at(h).items():
+            for h, w in s.delta:
+                for value, q in dist_at(h):
                     _check_domain(decl, value)
                     joint.setdefault(value, []).append((h, w * q))
             pairs = []
@@ -481,8 +479,8 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
             i = hid_names.index(target)
             decl = scope.hidden[i]
             acc = []
-            for h, w in s.delta.items():
-                for value, q in dist_at(h).items():
+            for h, w in s.delta:
+                for value, q in dist_at(h):
                     _check_domain(decl, value)
                     acc.append((h[:i] + (value,) + h[i + 1:], w * q))
             return HyperDist.point(SplitState(s.v, FiniteDist(acc)))
@@ -492,8 +490,8 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
     if isinstance(p, A.Seq):
         first = _eval(p.first, scope, s, consts)
         acc: list = []
-        for st, w in first.items():
-            acc.extend(_scale_hyper(_eval(p.second, scope, st, consts).items(), w))
+        for st, w in first:
+            acc.extend(_scale_hyper(_eval(p.second, scope, st, consts), w))
         return reduce_hyper(acc)
 
     if isinstance(p, A.GeneralChoice):
@@ -502,29 +500,29 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
         def q_at(h):
             return eval_prob(p.prob, _env_of(scope, s.v, h, consts))
 
-        prob = sum((w * q_at(h) for h, w in s.delta.items()), ZERO)
+        prob = sum((w * q_at(h) for h, w in s.delta), ZERO)
         acc = []
         if prob > 0:
             left_delta = posterior(s.delta, q_at)
             left = _eval(p.left, scope, SplitState(s.v, left_delta), consts)
-            acc.extend(_scale_hyper(left.items(), prob))
+            acc.extend(_scale_hyper(left, prob))
         if prob < 1:
             right_delta = posterior(s.delta, lambda h: 1 - q_at(h))
             right = _eval(p.right, scope, SplitState(s.v, right_delta), consts)
-            acc.extend(_scale_hyper(right.items(), 1 - prob))
+            acc.extend(_scale_hyper(right, 1 - prob))
         return reduce_hyper(acc)
 
     if isinstance(p, A.Cond):
         def g_at(h):
             return _boolean(eval_expr(p.guard, _env_of(scope, s.v, h, consts)), "guard")
 
-        prob = sum((w for h, w in s.delta.items() if g_at(h)), ZERO)
+        prob = sum((w for h, w in s.delta if g_at(h)), ZERO)
         acc = []
         if prob > 0:
             then_delta = posterior(s.delta, g_at)
             acc.extend(
                 _scale_hyper(
-                    _eval(p.then_branch, scope, SplitState(s.v, then_delta), consts).items(),
+                    _eval(p.then_branch, scope, SplitState(s.v, then_delta), consts),
                     prob,
                 )
             )
@@ -532,7 +530,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
             else_delta = posterior(s.delta, lambda h: not g_at(h))
             acc.extend(
                 _scale_hyper(
-                    _eval(p.else_branch, scope, SplitState(s.v, else_delta), consts).items(),
+                    _eval(p.else_branch, scope, SplitState(s.v, else_delta), consts),
                     1 - prob,
                 )
             )
@@ -551,7 +549,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
             )
             placeholder = decl.domain.values[0]
             extended = []
-            for st, w in hyper.items():
+            for st, w in hyper:
                 if decl.visibility.kind == "vis":
                     st2 = SplitState(st.v + (placeholder,), st.delta)
                 else:
@@ -561,19 +559,19 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
             inner_consts = _consts(inner_scope)
             choose = A.Choose(decl.name, dist)
             acc = []
-            for st, w in HyperDist(extended).items():
-                acc.extend(_scale_hyper(_eval(choose, inner_scope, st, inner_consts).items(), w))
+            for st, w in HyperDist(extended):
+                acc.extend(_scale_hyper(_eval(choose, inner_scope, st, inner_consts), w))
             hyper = reduce_hyper(acc)
         inner_consts = _consts(inner_scope)
         acc = []
-        for st, w in hyper.items():
-            acc.extend(_scale_hyper(_eval(p.body, inner_scope, st, inner_consts).items(), w))
+        for st, w in hyper:
+            acc.extend(_scale_hyper(_eval(p.body, inner_scope, st, inner_consts), w))
         result = reduce_hyper(acc)
         # exit: erase local visibles from v (their observations persist as
         # outer splitting), then marginalise local hiddens out of delta
         nv, nh = len(scope.visible), len(scope.hidden)
         trimmed = []
-        for st, w in result.items():
+        for st, w in result:
             delta = st.delta.map(lambda h: h[:nh])
             trimmed.append((SplitState(st.v[:nv], delta), w))
         return reduce_hyper(trimmed)

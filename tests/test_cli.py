@@ -259,3 +259,15 @@ def test_selftest_subcommand(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") > 20 and "FAIL" not in out
+
+
+def test_crash_exits_internal_without_traceback(tmp_path, capsys):
+    # 1200 sequenced statements nest deeper than the recursive walkers
+    # reach: the crash is exit 3, never 1 ("verdict fails")
+    deep = tmp_path / "deep.hprog"
+    body = ";\n".join(["v := (v + 1) mod 2"] * 1200)
+    deep.write_text(f"vis v : {{0..1}};\nhid h : {{0..1}};\n\n{body}\n")
+    code, out, err = invoke(capsys, "eval", str(deep), "--init", "v=0; h~uniform")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -177,6 +177,20 @@ def test_gentropy_against_brute_force_guess_orders():
         h = hyper([(((vnum(0),), list(delta.items())), F(1))])
         probs = [q for _, q in delta.items()] + [F(0)] * (4 - len(delta))
         assert guessing_entropy(h, 4) == brute_force_guess_count(probs)
+    # several split-states, partial supports, hidden domains up to 6
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        h = rand_hyper(rng, [vnum(0), vnum(1)], [vnum(k) for k in range(n)])
+        expected = sum(
+            (
+                w * brute_force_guess_count(
+                    [q for _, q in s.delta.items()] + [F(0)] * (n - len(s.delta))
+                )
+                for s, w in h.items()
+            ),
+            F(0),
+        )
+        assert guessing_entropy(h, n) == expected
 
 
 def test_gentropy_at_least_one_equality_iff_points():
@@ -248,6 +262,25 @@ def test_guesswork_matches_oracle():
         h = rand_hyper(rng, [vnum(0)], [vnum(k) for k in range(4)])
         for alpha in (F(1, 4), F(1, 2), F(3, 4), F(1)):
             assert marginal_guesswork(h, alpha, 4) == marginal_oracle(h, alpha, 4)
+
+
+def test_guesswork_matches_oracle_at_every_threshold():
+    # alpha exactly at each i-guess success probability, where ">=" matters
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        h = rand_hyper(rng, [vnum(0), vnum(1)], [vnum(k) for k in range(n)])
+        for i in range(1, n + 1):
+            alpha = sum(
+                (
+                    w * max(sum(c, F(0)) for c in itertools.combinations(
+                        [q for _, q in s.delta.items()] + [F(0)] * (n - len(s.delta)), i
+                    ))
+                    for s, w in h.items()
+                ),
+                F(0),
+            )
+            assert marginal_guesswork(h, alpha, n) == marginal_oracle(h, alpha, n) <= i
 
 
 # -- elementary comparison ----------------------------------------------------------

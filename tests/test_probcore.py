@@ -7,12 +7,18 @@ from hypothesis import given, strategies as st
 
 from hyperflow.errors import NegativeWeight, WeightOverflow, ZeroCondition, ZeroWeight
 from hyperflow.probcore import (
+    Domain,
     FiniteDist,
+    Value,
     expected_value,
     mk_dist,
     normalize,
     posterior,
     rat_str,
+    value_key,
+    vbool,
+    vnum,
+    vsym,
 )
 
 
@@ -152,3 +158,53 @@ def test_expected_point_dists_preserve_weight(pairs):
     d = mk_dist(pairs)
     out = expected_value(d, lambda v: FiniteDist.point(v % 2))
     assert out.weight == d.weight
+
+
+# -- the dict-backed core --------------------------------------------------------
+
+MIXED = [vbool(False), vbool(True), vnum(0), vnum(1), vnum(F(1, 2)), vsym("a"), vsym("b")]
+mixed_pairs = st.lists(
+    st.tuples(st.sampled_from(MIXED), st.fractions(min_value=0, max_value=F(1, 8))),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(mixed_pairs, st.randoms(use_true_random=False), st.data())
+def test_equality_and_hash_ignore_construction_order_and_splits(pairs, rnd, data):
+    d = mk_dist(pairs)
+    # the same weights, each split in two and the parts shuffled
+    split = []
+    for v, w in pairs:
+        part = data.draw(st.fractions(min_value=0, max_value=w))
+        split += [(v, part), (v, w - part)]
+    rnd.shuffle(split)
+    e = mk_dist(split)
+    assert d == e and hash(d) == hash(e)
+    assert d.items() == e.items() and repr(d) == repr(e) and d.key() == e.key()
+
+
+@given(mixed_pairs)
+def test_items_and_repr_sorted_by_value_key(pairs):
+    d = mk_dist(pairs)
+    points = [v for v, _ in d.items()]
+    assert points == sorted(points, key=value_key)
+    assert repr(d) == "{" + ", ".join(f"{v}@{rat_str(w)}" for v, w in d.items()) + "}"
+
+
+def test_missing_point_reads_zero():
+    d = mk_dist([(vnum(0), F(1, 2))])
+    assert d[vnum(0)] == F(1, 2) and d[vnum(1)] == 0 and d[vbool(False)] == 0
+
+
+def test_num_and_bool_values_stay_apart():
+    assert vnum(1) != vbool(True) and vnum(0) != vbool(False)
+    bools = Domain("b", (vbool(False), vbool(True)))
+    assert vbool(True) in bools and vnum(1) not in bools and vnum(0) not in bools
+    assert len(mk_dist([(vnum(1), F(1, 2)), (vbool(True), F(1, 2))])) == 2
+
+
+def test_value_hash_is_structural():
+    assert Value("num", F(1)) == vnum(1)
+    assert hash(Value("num", F(1))) == hash(vnum(1))
+    assert hash(Value("bool", True)) == hash(vbool(True))
