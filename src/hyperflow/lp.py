@@ -107,24 +107,10 @@ class _Tableau:
             x[j] = self.b[r]
         return x
 
-    def dump(self, label: str):
-        import sys
-
-        print(f"-- tableau {label} (basis {self.basis})", file=sys.stderr)
-        for row, b in zip(self.a, self.b):
-            print("   " + " ".join(str(x) for x in row) + f" | {b}", file=sys.stderr)
-
-    def minimise(
-        self,
-        cost: list[Fraction],
-        banned: frozenset[int] = frozenset(),
-        debug: bool = False,
-    ) -> Fraction:
+    def minimise(self, cost: list[Fraction], banned: frozenset[int] = frozenset()) -> Fraction:
         """Bland's-rule simplex; `banned` columns may never enter."""
         cap = math.comb(self.n + self.m, self.m) + self.m + 1
-        for it in range(cap):
-            if debug:
-                self.dump(f"iteration {it}")
+        for _ in range(cap):
             cb = [cost[j] for j in self.basis]
             # reduced costs z_j = c_j - cb . A_j
             entering = -1
@@ -280,10 +266,10 @@ def _standardise(lp: LinearProgram) -> _Standardised:
     )
 
 
-def _phase1(std: _Standardised, debug: bool = False) -> Fraction:
+def _phase1(std: _Standardised) -> Fraction:
     tab = std.tableau
     cost = [ZERO] * std.art_start + [ONE] * tab.m
-    return tab.minimise(cost, debug=debug)
+    return tab.minimise(cost)
 
 
 def _verify_point(lp: LinearProgram, x: list[Fraction]):
@@ -343,13 +329,13 @@ def _extract_certificate(lp: LinearProgram, std: _Standardised) -> list[Fraction
     return y
 
 
-def solve_feasibility(lp: LinearProgram, debug: bool = False):
+def solve_feasibility(lp: LinearProgram):
     """Find an exact feasible point, or a verified Farkas certificate.
 
     Certificates require the default bounds (all variables >= 0).
     """
     std = _standardise(lp)
-    opt = _phase1(std, debug=debug)
+    opt = _phase1(std)
     if opt > 0:
         y = _extract_certificate(lp, std)
         _verify_certificate(lp, y)
@@ -359,12 +345,12 @@ def solve_feasibility(lp: LinearProgram, debug: bool = False):
     return Feasible(x)
 
 
-def solve_max(lp: LinearProgram, debug: bool = False) -> tuple[Fraction, list[Fraction]]:
+def solve_max(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Maximise the objective over a bounded feasible region, exactly."""
     if lp.objective is None:
         raise LpError("solve_max needs an objective")
     std = _standardise(lp)
-    opt1 = _phase1(std, debug=debug)
+    opt1 = _phase1(std)
     if opt1 > 0:
         raise Infeasible("no feasible point")
     tab = std.tableau
@@ -378,7 +364,7 @@ def solve_max(lp: LinearProgram, debug: bool = False) -> tuple[Fraction, list[Fr
                     break
     banned = frozenset(range(std.art_start, tab.n))
     cost = [-c for c in std.cost] + [ZERO] * (tab.n - std.n_struct)
-    tab.minimise(cost, banned, debug=debug)
+    tab.minimise(cost, banned)
     x = std.decode(tab.solution())
     _verify_point(lp, x)
     value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)

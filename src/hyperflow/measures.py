@@ -90,20 +90,6 @@ class ShannonValue:
         return mpmath.nstr(self.value, digits, strip_zeros=False)
 
 
-def _entropy_terms(pairs) -> mpmath.mpf:
-    total = mpmath.mpf(0)
-    for outer_w, dist_pairs in pairs:
-        wq = mpmath.mpf(outer_w.numerator) / outer_w.denominator
-        h = mpmath.mpf(0)
-        for p in dist_pairs:
-            if p == 0 or p == 1:
-                continue
-            pq = mpmath.mpf(p.numerator) / p.denominator
-            h -= pq * mpmath.log(pq, 2)
-        total += wq * h
-    return total
-
-
 def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     if man == 0:
@@ -118,35 +104,40 @@ def _enclose(value: mpmath.mpf, precision: int) -> tuple[Fraction, Fraction]:
     return exact - pad, exact + pad
 
 
-def _check_precision(precision: int):
+def _shannon(pairs, precision: int) -> ShannonValue:
+    """Sum of w * H(ps) over (w, ps) pairs, in bits, with its enclosure.
+
+    Floating-point sums depend on their order, so callers pass the pairs
+    and the probabilities in a canonical order.
+    """
     if precision < 64:
         raise ValueError(f"entropy precision must be at least 64 bits, got {precision}")
+    with mpmath.workprec(precision + 32):
+        total = mpmath.mpf(0)
+        for outer_w, dist_pairs in pairs:
+            wq = mpmath.mpf(outer_w.numerator) / outer_w.denominator
+            h = mpmath.mpf(0)
+            for p in dist_pairs:
+                if p == 0 or p == 1:
+                    continue
+                pq = mpmath.mpf(p.numerator) / p.denominator
+                h -= pq * mpmath.log(pq, 2)
+            total += wq * h
+        lo, hi = _enclose(total, precision)
+        return ShannonValue(+total, precision, lo, hi)
 
 
 def shannon_entropy(hyper: HyperDist, precision: int = DEFAULT_PRECISION_BITS) -> ShannonValue:
     """Expected Shannon entropy of the inner distributions, in bits."""
-    _check_precision(precision)
-    # floating-point sums depend on their order: the canonical order of
-    # items() keeps the value identical however the hyper was built
-    with mpmath.workprec(precision + 32):
-        total = _entropy_terms(
-            (w, [q for _, q in s.delta.items()]) for s, w in hyper.items()
-        )
-        lo, hi = _enclose(total, precision)
-        return ShannonValue(+total, precision, lo, hi)
+    return _shannon(((w, [q for _, q in s.delta.items()]) for s, w in hyper.items()), precision)
 
 
 def shannon_entropy_partition(fractions, precision: int = DEFAULT_PRECISION_BITS) -> ShannonValue:
-    _check_precision(precision)
-    with mpmath.workprec(precision + 32):
-        total = mpmath.mpf(0)
-        for f in fractions:
-            w = f.weight
-            if w == 0:
-                continue
-            total += _entropy_terms([(w, [q / w for _, q in f.items()])])
-        lo, hi = _enclose(total, precision)
-        return ShannonValue(+total, precision, lo, hi)
+    """Shannon entropy of a partition: each fraction normalised, weighted by its weight."""
+    return _shannon(
+        ((f.weight, [q / f.weight for _, q in f.items()]) for f in fractions if f.weight != 0),
+        precision,
+    )
 
 
 # ---------------------------------------------------------------------------

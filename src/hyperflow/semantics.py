@@ -7,9 +7,14 @@ outer layer is what an observer can tell apart (including implicit flow
 and perfect recall of overwritten visibles); the inner deltas are the
 residual uncertainty about the hidden variables.
 
-Syntactically atomic commands are interpreted by running the classical
-(relational) semantics pointwise and re-hiding the result; compound
-commands compose hyper-distributions as defined here.
+One kernel gives every syntactically atomic command its meaning: the
+classical (relational) semantics run from each hidden point, then Hide
+(`_atomic`).  Assignments, choices, `atomic{..}` bodies and local-block
+initialisers all go through it.  Compound commands compose
+hyper-distributions: conditionals and probabilistic choices share one
+branch helper (a guard is a 0/1 weight), and sequences are a left fold that
+merges equal split-states after each statement, without recursing down the
+spine.  The classical semantics is built the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .probcore import (
     ZERO,
     FiniteDist,
     Value,
-    posterior,
     rat_str,
     value_key,
     vbool,
@@ -44,6 +48,14 @@ class Scope:
     visible: tuple[A.VarDecl, ...]
     hidden: tuple[A.VarDecl, ...]
 
+    def __post_init__(self):
+        # every atomic step looks names up, so they are computed once
+        object.__setattr__(self, "_vis_names", tuple(d.name for d in self.visible))
+        object.__setattr__(self, "_hid_names", tuple(d.name for d in self.hidden))
+        slots = {d.name: (False, i, d) for i, d in enumerate(self.hidden)}
+        slots.update({d.name: (True, i, d) for i, d in enumerate(self.visible)})
+        object.__setattr__(self, "_slots", slots)
+
     @classmethod
     def of_module(cls, module: A.Module) -> "Scope":
         vis, hid = [], []
@@ -61,10 +73,17 @@ class Scope:
         return Scope(self.visible, self.hidden + (decl,))
 
     def visible_names(self):
-        return tuple(d.name for d in self.visible)
+        return self._vis_names
 
     def hidden_names(self):
-        return tuple(d.name for d in self.hidden)
+        return self._hid_names
+
+    def _slot(self, name: str) -> tuple[bool, int, A.VarDecl]:
+        """(is visible, index in its tuple, declaration) of a variable."""
+        try:
+            return self._slots[name]
+        except KeyError:
+            raise EvalError(f"assignment to unknown variable {name}") from None
 
 
 @dataclass(frozen=True)
@@ -279,6 +298,49 @@ def _check_domain(decl: A.VarDecl, value: Value):
         raise EvalError(f"value {value} outside the domain of {decl.name}")
 
 
+def _statements(p: A.Program):
+    """The statements of a sequence, left to right, without recursion.
+
+    Sequential composition is associative, so nesting does not matter.
+    """
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, A.Seq):
+            stack += (q.second, q.first)
+        else:
+            yield q
+
+
+def _branch(p):
+    """(left branch's weight at an environment, left, right) of a
+    conditional or a probabilistic choice; a guard is a 0/1 weight."""
+    if isinstance(p, A.Cond):
+        def guard_at(env):
+            return ONE if _boolean(eval_expr(p.guard, env), "guard") else ZERO
+
+        return guard_at, p.then_branch, p.else_branch
+    return (lambda env: eval_prob(p.prob, env)), p.left, p.right
+
+
+def _block(p: A.LocalBlock, scope: Scope):
+    """A local block as (statement, scope) steps, and the block's constants.
+
+    Each local is entered by a choice of its initial value, run in the
+    scope that declares it from a state that does not hold it yet:
+    `_env_of` leaves it unbound, so the initialiser reads only the locals
+    declared before it, and the write appends it to v or h.
+    """
+    steps = []
+    for ld in p.decls:
+        scope = scope.extend(ld.decl)
+        init = ld.init if ld.init is not None else A.DistUniform(
+            tuple(A.Lit(v) for v in ld.decl.domain.values)
+        )
+        steps.append((A.Choose(ld.decl.name, init), scope))
+    return steps + [(p.body, scope)], _consts(scope)
+
+
 # ---------------------------------------------------------------------------
 # Classical (relational) semantics
 # ---------------------------------------------------------------------------
@@ -290,93 +352,62 @@ def classical_eval(p: A.Program, scope: Scope, state: tuple[tuple, tuple]) -> Fi
     Returns a full distribution over (visible tuple, hidden tuple) pairs.
     The program must be desugared (no reveal, no xor-assign).
     """
-    return _classical(p, scope, state[0], state[1], _consts(scope))
+    return FiniteDist(_classical(p, scope, state[0], state[1], _consts(scope)))
 
 
-def _classical(p, scope: Scope, v, h, consts) -> FiniteDist:
+def _classical_then(states, p, scope: Scope, consts) -> FiniteDist:
+    """Run p from each weighted (v, h) of states, merging equal outcomes."""
+    return FiniteDist(
+        [(st, w * w2) for (v, h), w in states for st, w2 in _classical(p, scope, v, h, consts)]
+    )
+
+
+def _classical(p, scope: Scope, v, h, consts):
+    """((v', h'), weight) pairs of p's classical meaning from (v, h).
+
+    The weights sum to 1; a point may occur more than once.
+    """
     if isinstance(p, A.Skip):
-        return FiniteDist.point((v, h))
+        return [((v, h), ONE)]
     if isinstance(p, (A.Assign, A.Choose)):
         env = _env_of(scope, v, h, consts)
         if isinstance(p, A.Assign):
-            dist = FiniteDist.point(eval_expr(p.expr, env))
+            dist = ((eval_expr(p.expr, env), ONE),)
         else:
             dist = eval_dist(p.dist, env)
-        vis_names = scope.visible_names()
-        if p.target in vis_names:
-            i = vis_names.index(p.target)
-            decl = scope.visible[i]
-            out = []
-            for value, w in dist:
-                _check_domain(decl, value)
+        vis, i, decl = scope._slot(p.target)
+        out = []
+        for value, w in dist:
+            _check_domain(decl, value)
+            if vis:
                 out.append(((v[:i] + (value,) + v[i + 1:], h), w))
-            return FiniteDist(out)
-        hid_names = scope.hidden_names()
-        if p.target in hid_names:
-            i = hid_names.index(p.target)
-            decl = scope.hidden[i]
-            out = []
-            for value, w in dist:
-                _check_domain(decl, value)
+            else:
                 out.append(((v, h[:i] + (value,) + h[i + 1:]), w))
-            return FiniteDist(out)
-        raise EvalError(f"assignment to unknown variable {p.target}")
+        return out
     if isinstance(p, A.Seq):
-        first = _classical(p.first, scope, v, h, consts)
-        acc: list = []
-        for (v1, h1), w in first:
-            for st, w2 in _classical(p.second, scope, v1, h1, consts):
-                acc.append((st, w * w2))
-        return FiniteDist(acc)
-    if isinstance(p, A.GeneralChoice):
-        q = eval_prob(p.prob, _env_of(scope, v, h, consts))
-        acc = []
-        if q > 0:
-            acc.extend((st, q * w) for st, w in _classical(p.left, scope, v, h, consts))
-        if q < 1:
-            acc.extend(
-                (st, (1 - q) * w) for st, w in _classical(p.right, scope, v, h, consts)
-            )
-        return FiniteDist(acc)
-    if isinstance(p, A.Cond):
-        taken = p.then_branch if _boolean(
-            eval_expr(p.guard, _env_of(scope, v, h, consts)), "guard"
-        ) else p.else_branch
-        return _classical(taken, scope, v, h, consts)
+        states = [((v, h), ONE)]
+        for q in _statements(p):
+            states = _classical_then(states, q, scope, consts)
+        return states
+    if isinstance(p, (A.Cond, A.GeneralChoice)):
+        weight_at, left, right = _branch(p)
+        q = weight_at(_env_of(scope, v, h, consts))
+        if q == 1:
+            return _classical(left, scope, v, h, consts)
+        if q == 0:
+            return _classical(right, scope, v, h, consts)
+        return [(st, q * w) for st, w in _classical(left, scope, v, h, consts)] + [
+            (st, (1 - q) * w) for st, w in _classical(right, scope, v, h, consts)
+        ]
     if isinstance(p, A.Atomic):
         return _classical(p.body, scope, v, h, consts)
     if isinstance(p, A.LocalBlock):
-        inner_scope = scope
-        for ld in p.decls:
-            inner_scope = inner_scope.extend(ld.decl)
-        inner_consts = _consts(inner_scope)
-
-        # locals are appended in declaration order; an init may read the
-        # locals declared before it, never the variable it declares
-        def enter(vv, hh, k) -> FiniteDist:
-            if k == len(p.decls):
-                return _classical(p.body, inner_scope, vv, hh, inner_consts)
-            decl, init = p.decls[k].decl, p.decls[k].init
-            env = dict(inner_consts)
-            env.update(zip([d.name for d in inner_scope.visible], vv))
-            env.update(zip([d.name for d in inner_scope.hidden], hh))
-            dist = (
-                eval_dist(init, env)
-                if init is not None
-                else FiniteDist.uniform(decl.domain.values)
-            )
-            acc = []
-            for value, w in dist:
-                _check_domain(decl, value)
-                nv, nh = (vv + (value,), hh) if decl.visibility.kind == "vis" else (vv, hh + (value,))
-                for st, w2 in enter(nv, nh, k + 1):
-                    acc.append((st, w * w2))
-            return FiniteDist(acc)
-
-        out = enter(v, h, 0)
-        nv_glob = len(scope.visible)
-        nh_glob = len(scope.hidden)
-        return out.map(lambda st: (st[0][:nv_glob], st[1][:nh_glob]))
+        steps, inner_consts = _block(p, scope)
+        states = [((v, h), ONE)]
+        for q, q_scope in steps:
+            states = _classical_then(states, q, q_scope, inner_consts)
+        nv, nh = len(scope.visible), len(scope.hidden)
+        return [((v1[:nv], h1[:nh]), w) for (v1, h1), w in states]
     if isinstance(p, (A.Reveal, A.XorAssign)):
         raise UnsupportedConstruct(f"{type(p).__name__} must be desugared before evaluation")
     raise TypeError(p)
@@ -387,22 +418,28 @@ def _classical(p, scope: Scope, v, h, consts) -> FiniteDist:
 # ---------------------------------------------------------------------------
 
 
-def hide_embed(joint: FiniteDist) -> HyperDist:
+def _split_state(v: tuple, entries: list) -> tuple[SplitState, Fraction]:
+    """v with the (h, weight) entries normalised into its delta, and their
+    total weight."""
+    p = sum((w for _, w in entries), ZERO)
+    if p != 1:
+        inv = 1 / p
+        entries = [(h, w * inv) for h, w in entries]
+    return SplitState(v, FiniteDist(entries)), p
+
+
+def hide_embed(joint) -> HyperDist:
     """Group a full joint (v,h) distribution by its visible part.
 
-    For each visible value in the projection: one split-state pairing it
-    with the conditional hidden distribution, weighted by the projection.
+    `joint` is a FiniteDist or any iterable of ((v, h), weight) pairs
+    summing to 1.  For each visible value in the projection: one split-state
+    pairing it with the conditional hidden distribution, weighted by the
+    projection.
     """
     groups: dict[tuple, list] = {}
     for (v, h), w in joint:
         groups.setdefault(v, []).append((h, w))
-    pairs = []
-    for v, entries in groups.items():
-        p = sum((w for _, w in entries), ZERO)
-        inv = 1 / p
-        delta = FiniteDist([(h, w * inv) for h, w in entries])
-        pairs.append((SplitState(v, delta), p))
-    return HyperDist(pairs)
+    return HyperDist(_split_state(v, entries) for v, entries in groups.items())
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +454,14 @@ def eval_atomic_block(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
     consistent with the visible output: perfect recall and implicit flow
     inside p are both suppressed.
     """
-    consts = _consts(scope)
-    acc: list = []
-    for h, w in s.delta:
-        for st, w2 in _classical(p, scope, s.v, h, consts):
-            acc.append((st, w * w2))
-    return hide_embed(FiniteDist(acc))
+    return _atomic(p, scope, s, _consts(scope))
+
+
+def _atomic(p, scope: Scope, s: SplitState, consts) -> HyperDist:
+    """The kernel: p's classical meaning from each hidden point of s, then Hide."""
+    return hide_embed(
+        [(st, w * w2) for h, w in s.delta for st, w2 in _classical(p, scope, s.v, h, consts)]
+    )
 
 
 def eval(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
@@ -438,144 +477,51 @@ def eval_module(module: A.Module, s: SplitState) -> HyperDist:
     return eval(desugared.body, scope, s)
 
 
-def _scale_hyper(pairs, c: Fraction):
-    return [(st, w * c) for st, w in pairs]
+def _then(hyper: HyperDist, p, scope: Scope, consts) -> HyperDist:
+    """Run p from each split-state of hyper, merging equal outcomes."""
+    return reduce_hyper(
+        [(st2, w * w2) for st, w in hyper for st2, w2 in _eval(p, scope, st, consts)]
+    )
 
 
 def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
     if isinstance(p, A.Skip):
         return HyperDist.point(s)
-
-    if isinstance(p, (A.Assign, A.Choose)):
-        target = p.target
-        vis_names = scope.visible_names()
-        hid_names = scope.hidden_names()
-
-        def dist_at(h) -> FiniteDist:
-            env = _env_of(scope, s.v, h, consts)
-            if isinstance(p, A.Assign):
-                return FiniteDist.point(eval_expr(p.expr, env))
-            return eval_dist(p.dist, env)
-
-        if target in vis_names:
-            i = vis_names.index(target)
-            decl = scope.visible[i]
-            # outer: push the chosen value through delta; inner: condition
-            # delta on having produced that value
-            joint: dict[Value, list] = {}
-            for h, w in s.delta:
-                for value, q in dist_at(h):
-                    _check_domain(decl, value)
-                    joint.setdefault(value, []).append((h, w * q))
-            pairs = []
-            for value, entries in joint.items():
-                pv = sum((w for _, w in entries), ZERO)
-                inv = 1 / pv
-                delta = FiniteDist([(h, w * inv) for h, w in entries])
-                pairs.append((SplitState(s.v[:i] + (value,) + s.v[i + 1:], delta), pv))
-            return HyperDist(pairs)
-
-        if target in hid_names:
-            i = hid_names.index(target)
-            decl = scope.hidden[i]
-            acc = []
-            for h, w in s.delta:
-                for value, q in dist_at(h):
-                    _check_domain(decl, value)
-                    acc.append((h[:i] + (value,) + h[i + 1:], w * q))
-            return HyperDist.point(SplitState(s.v, FiniteDist(acc)))
-
-        raise EvalError(f"assignment to unknown variable {target}")
-
+    if isinstance(p, (A.Assign, A.Choose, A.Atomic)):
+        return _atomic(p, scope, s, consts)
     if isinstance(p, A.Seq):
-        first = _eval(p.first, scope, s, consts)
-        acc: list = []
-        for st, w in first:
-            acc.extend(_scale_hyper(_eval(p.second, scope, st, consts), w))
-        return reduce_hyper(acc)
-
-    if isinstance(p, A.GeneralChoice):
+        hyper = HyperDist.point(s)
+        for q in _statements(p):
+            hyper = _then(hyper, q, scope, consts)
+        return hyper
+    if isinstance(p, (A.Cond, A.GeneralChoice)):
         # an observer sees which branch ran, and each branch's entry
         # conditions the hidden distribution on having taken it
-        def q_at(h):
-            return eval_prob(p.prob, _env_of(scope, s.v, h, consts))
-
-        prob = sum((w * q_at(h) for h, w in s.delta), ZERO)
+        weight_at, left, right = _branch(p)
+        taken, not_taken = [], []
+        for h, w in s.delta:
+            q = weight_at(_env_of(scope, s.v, h, consts))
+            if q:
+                taken.append((h, w * q))
+            if q != 1:
+                not_taken.append((h, w * (1 - q)))
         acc = []
-        if prob > 0:
-            left_delta = posterior(s.delta, q_at)
-            left = _eval(p.left, scope, SplitState(s.v, left_delta), consts)
-            acc.extend(_scale_hyper(left, prob))
-        if prob < 1:
-            right_delta = posterior(s.delta, lambda h: 1 - q_at(h))
-            right = _eval(p.right, scope, SplitState(s.v, right_delta), consts)
-            acc.extend(_scale_hyper(right, 1 - prob))
+        for branch, entries in ((left, taken), (right, not_taken)):
+            if entries:
+                st, prob = _split_state(s.v, entries)
+                acc += [(st2, prob * w2) for st2, w2 in _eval(branch, scope, st, consts)]
         return reduce_hyper(acc)
-
-    if isinstance(p, A.Cond):
-        def g_at(h):
-            return _boolean(eval_expr(p.guard, _env_of(scope, s.v, h, consts)), "guard")
-
-        prob = sum((w for h, w in s.delta if g_at(h)), ZERO)
-        acc = []
-        if prob > 0:
-            then_delta = posterior(s.delta, g_at)
-            acc.extend(
-                _scale_hyper(
-                    _eval(p.then_branch, scope, SplitState(s.v, then_delta), consts),
-                    prob,
-                )
-            )
-        if prob < 1:
-            else_delta = posterior(s.delta, lambda h: not g_at(h))
-            acc.extend(
-                _scale_hyper(
-                    _eval(p.else_branch, scope, SplitState(s.v, else_delta), consts),
-                    1 - prob,
-                )
-            )
-        return reduce_hyper(acc)
-
-    if isinstance(p, A.Atomic):
-        return eval_atomic_block(p.body, scope, s)
-
     if isinstance(p, A.LocalBlock):
-        inner_scope = scope
+        steps, inner_consts = _block(p, scope)
         hyper = HyperDist.point(s)
-        for ld in p.decls:
-            decl, init = ld.decl, ld.init
-            dist = init if init is not None else A.DistUniform(
-                tuple(A.Lit(v) for v in decl.domain.values)
-            )
-            placeholder = decl.domain.values[0]
-            extended = []
-            for st, w in hyper:
-                if decl.visibility.kind == "vis":
-                    st2 = SplitState(st.v + (placeholder,), st.delta)
-                else:
-                    st2 = SplitState(st.v, st.delta.map(lambda h: h + (placeholder,)))
-                extended.append((st2, w))
-            inner_scope = inner_scope.extend(decl)
-            inner_consts = _consts(inner_scope)
-            choose = A.Choose(decl.name, dist)
-            acc = []
-            for st, w in HyperDist(extended):
-                acc.extend(_scale_hyper(_eval(choose, inner_scope, st, inner_consts), w))
-            hyper = reduce_hyper(acc)
-        inner_consts = _consts(inner_scope)
-        acc = []
-        for st, w in hyper:
-            acc.extend(_scale_hyper(_eval(p.body, inner_scope, st, inner_consts), w))
-        result = reduce_hyper(acc)
+        for q, q_scope in steps:
+            hyper = _then(hyper, q, q_scope, inner_consts)
         # exit: erase local visibles from v (their observations persist as
         # outer splitting), then marginalise local hiddens out of delta
         nv, nh = len(scope.visible), len(scope.hidden)
-        trimmed = []
-        for st, w in result:
-            delta = st.delta.map(lambda h: h[:nh])
-            trimmed.append((SplitState(st.v[:nv], delta), w))
-        return reduce_hyper(trimmed)
-
+        return reduce_hyper(
+            [(SplitState(st.v[:nv], st.delta.map(lambda h: h[:nh])), w) for st, w in hyper]
+        )
     if isinstance(p, (A.Reveal, A.XorAssign)):
         raise UnsupportedConstruct(f"{type(p).__name__} must be desugared before evaluation")
     raise TypeError(p)

@@ -1,5 +1,6 @@
 """Split-state semantics: command rows, embeddings, blocks, and laws."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -370,6 +371,53 @@ def test_seq_skip_identities():
         base = eval_hyper(body, SC23, s)
         assert eval_hyper(A.Seq(body, A.Skip()), SC23, s) == base
         assert eval_hyper(A.Seq(A.Skip(), body), SC23, s) == base
+
+
+def test_sequencing_is_associative_and_compositional():
+    # both evaluators fold a sequence left to right; each nesting must give
+    # the meaning of running the first part, then the rest from each outcome
+    rng = random.Random(37)
+    for _ in range(30):
+        a, b, c = (rand_program(rng, depth=2) for _ in range(3))
+        s = rand_small_init(rng)
+        left, right = A.Seq(A.Seq(a, b), c), A.Seq(a, A.Seq(b, c))
+        out = eval_hyper(right, SC23, s)
+        assert eval_hyper(left, SC23, s) == out
+        assert out == reduce_hyper(
+            [
+                (st2, w * w2)
+                for st, w in eval_hyper(a, SC23, s).items()
+                for st2, w2 in eval_hyper(A.Seq(b, c), SC23, st).items()
+            ]
+        )
+        assert eval_atomic_block(left, SC23, s) == eval_atomic_block(right, SC23, s)
+        start = (s.v, s.delta.support[0])
+        assert classical_eval(right, SC23, start) == expected_value(
+            classical_eval(a, SC23, start), lambda st: classical_eval(A.Seq(b, c), SC23, st)
+        )
+
+
+def test_long_straight_line_sequence_evaluates():
+    # 3000 statements, built as an AST so that no parser or validator runs;
+    # the evaluators must not recurse down the sequence
+    stmts = (
+        [parse_program("v := h mod 2")]
+        + [parse_program("h := (h + 1) mod 3")] * 2998
+        + [parse_program("v := 0")]
+    )
+    right_nested = stmts[-1]
+    for stmt in reversed(stmts[:-1]):
+        right_nested = A.Seq(stmt, right_nested)
+    s = SplitState((vnum(0),), FiniteDist.uniform([ht(0), ht(1), ht(2)]))
+    for prog in (right_nested, functools.reduce(A.Seq, stmts)):
+        # the first statement's split is recalled; 2998 increments shift h by 1
+        assert eval_hyper(prog, SC23, s) == hyper(
+            [
+                (((vnum(0),), [(ht(1), F(1, 2)), (ht(0), F(1, 2))]), F(2, 3)),
+                (((vnum(0),), [(ht(2), F(1))]), F(1, 3)),
+            ]
+        )
+        assert eval_hyper(A.Atomic(prog), SC23, s) == HyperDist.point(s)
 
 
 def test_functional_projection_law():
