@@ -40,14 +40,6 @@ class Visibility:
         if self.agents is not None and self.kind != "vis":
             raise ValueError("agent sets only apply to vis")
 
-    @property
-    def is_global_visible(self):
-        return self.kind == "vis" and self.agents is None
-
-    @property
-    def is_global_hidden(self):
-        return self.kind == "hid"
-
     def __str__(self):
         if self.kind == "hid":
             return "hid"
@@ -249,17 +241,65 @@ def seq_of(*programs: Program) -> Program:
     return out
 
 
-def node_count(p: Program) -> int:
-    if isinstance(p, (Skip, Assign, Choose, XorAssign, Reveal)):
-        return 1
+def statements(p: Program):
+    """The statements of a sequence, left to right, without recursion.
+
+    Sequential composition is associative, so nesting does not matter.
+    """
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Seq):
+            stack += (q.second, q.first)
+        else:
+            yield q
+
+
+def _children(p: Program) -> tuple[Program, ...]:
     if isinstance(p, Seq):
-        return 1 + node_count(p.first) + node_count(p.second)
+        return p.first, p.second
     if isinstance(p, GeneralChoice):
-        return 1 + node_count(p.left) + node_count(p.right)
+        return p.left, p.right
     if isinstance(p, Cond):
-        return 1 + node_count(p.then_branch) + node_count(p.else_branch)
-    if isinstance(p, Atomic):
-        return 1 + node_count(p.body)
-    if isinstance(p, LocalBlock):
-        return 1 + node_count(p.body)
-    raise TypeError(p)
+        return p.then_branch, p.else_branch
+    if isinstance(p, (Atomic, LocalBlock)):
+        return (p.body,)
+    return ()
+
+
+def walk(p: Program):
+    """Every program node of p in source order, without recursion."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        yield q
+        stack += reversed(_children(q))
+
+
+def map_seq(p: Seq, f) -> Program:
+    """p with f applied to each operand along its right spine.
+
+    f is called in source order; the nesting and the position of every
+    Seq node on the spine are kept.
+    """
+    spine = []
+    while isinstance(p, Seq):
+        spine.append((p.pos, f(p.first)))
+        p = p.second
+    out = f(p)
+    for pos, first in reversed(spine):
+        out = Seq(first, out, pos)
+    return out
+
+
+def declarations(module: Module):
+    """Every variable declaration of the module, global or local."""
+    yield from module.decls
+    for p in walk(module.body):
+        if isinstance(p, LocalBlock):
+            for ld in p.decls:
+                yield ld.decl
+
+
+def node_count(p: Program) -> int:
+    return sum(1 for _ in walk(p))

@@ -99,9 +99,13 @@ def _stmt_lines(p: A.Program, indent: str) -> list[str]:
     if isinstance(p, A.Seq):
         # parsing right-folds ';', so a left-nested first operand needs
         # explicit grouping to survive the round trip
-        first = _braced(p.first, indent) if isinstance(p.first, A.Seq) else _stmt_lines(p.first, indent)
-        first[-1] += ";"
-        return first + _stmt_lines(p.second, indent)
+        lines = []
+        while isinstance(p, A.Seq):
+            first = _braced(p.first, indent) if isinstance(p.first, A.Seq) else _stmt_lines(p.first, indent)
+            first[-1] += ";"
+            lines += first
+            p = p.second
+        return lines + _stmt_lines(p, indent)
     if isinstance(p, A.Skip):
         return [indent + "skip"]
     if isinstance(p, A.Assign):

@@ -16,33 +16,7 @@ from . import ast as A
 
 def agents_of(module: A.Module) -> set[str]:
     """All agent names mentioned in any visibility annotation."""
-    found: set[str] = set()
-
-    def from_decl(d: A.VarDecl):
-        if d.visibility.agents:
-            found.update(d.visibility.agents)
-
-    def walk(p: A.Program):
-        if isinstance(p, A.LocalBlock):
-            for ld in p.decls:
-                from_decl(ld.decl)
-            walk(p.body)
-        elif isinstance(p, A.Seq):
-            walk(p.first)
-            walk(p.second)
-        elif isinstance(p, A.GeneralChoice):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, A.Cond):
-            walk(p.then_branch)
-            walk(p.else_branch)
-        elif isinstance(p, A.Atomic):
-            walk(p.body)
-
-    for d in module.decls:
-        from_decl(d)
-    walk(module.body)
-    return found
+    return {a for d in A.declarations(module) for a in d.visibility.agents or ()}
 
 
 def _project_decl(d: A.VarDecl, agent: Optional[str]) -> A.VarDecl:
@@ -73,7 +47,7 @@ def project_view(module: A.Module, agent: Optional[str]) -> A.Module:
             )
             return A.LocalBlock(decls, walk(p.body), p.pos)
         if isinstance(p, A.Seq):
-            return A.Seq(walk(p.first), walk(p.second), p.pos)
+            return A.map_seq(p, walk)
         if isinstance(p, A.GeneralChoice):
             return A.GeneralChoice(walk(p.left), p.prob, walk(p.right), p.pos)
         if isinstance(p, A.Cond):
@@ -89,31 +63,6 @@ def project_view(module: A.Module, agent: Optional[str]) -> A.Module:
 # ---------------------------------------------------------------------------
 # Desugaring
 # ---------------------------------------------------------------------------
-
-def _all_names(module: A.Module) -> set[str]:
-    names: set[str] = set()
-
-    def walk(p: A.Program):
-        if isinstance(p, A.LocalBlock):
-            for ld in p.decls:
-                names.add(ld.decl.name)
-            walk(p.body)
-        elif isinstance(p, A.Seq):
-            walk(p.first)
-            walk(p.second)
-        elif isinstance(p, A.GeneralChoice):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, A.Cond):
-            walk(p.then_branch)
-            walk(p.else_branch)
-        elif isinstance(p, A.Atomic):
-            walk(p.body)
-
-    names.update(d.name for d in module.decls)
-    walk(module.body)
-    return names
-
 
 def _expr_value_range(expr: A.Expr, decls: dict[str, A.VarDecl]):
     """All values expr can take over the declared domains of its variables."""
@@ -145,7 +94,7 @@ def _free_names(e: A.Expr) -> set[str]:
 
 class _Desugarer:
     def __init__(self, module: A.Module):
-        self.taken = _all_names(module)
+        self.taken = {d.name for d in A.declarations(module)}
         self.counter = itertools.count(1)
         self.module = module
 
@@ -176,7 +125,7 @@ class _Desugarer:
             fix = A.Assign(p.second, A.Binop("xor", A.Name(p.first), p.expr), p.pos)
             return A.Seq(flip, fix, p.pos)
         if isinstance(p, A.Seq):
-            return A.Seq(self.walk(p.first, decls), self.walk(p.second, decls), p.pos)
+            return A.map_seq(p, lambda q: self.walk(q, decls))
         if isinstance(p, A.GeneralChoice):
             return A.GeneralChoice(self.walk(p.left, decls), p.prob, self.walk(p.right, decls), p.pos)
         if isinstance(p, A.Cond):
@@ -198,16 +147,4 @@ def desugar(module: A.Module) -> A.Module:
 
 
 def has_construct(p: A.Program, kinds: tuple[type, ...]) -> bool:
-    if isinstance(p, kinds):
-        return True
-    if isinstance(p, A.Seq):
-        return has_construct(p.first, kinds) or has_construct(p.second, kinds)
-    if isinstance(p, A.GeneralChoice):
-        return has_construct(p.left, kinds) or has_construct(p.right, kinds)
-    if isinstance(p, A.Cond):
-        return has_construct(p.then_branch, kinds) or has_construct(p.else_branch, kinds)
-    if isinstance(p, A.Atomic):
-        return has_construct(p.body, kinds)
-    if isinstance(p, A.LocalBlock):
-        return has_construct(p.body, kinds)
-    return False
+    return any(isinstance(q, kinds) for q in A.walk(p))

@@ -33,32 +33,12 @@ class _Checker:
         self.allow_uniform_init = allow_uniform_init
         self.diags: list[Diagnostic] = []
         # enum constants from every domain in the file, globals and locals
-        self.enum_consts: set[str] = set()
-        self._collect_enums(module.body)
-        for d in module.decls:
-            self._collect_domain(d)
-
-    def _collect_domain(self, decl: A.VarDecl):
-        for v in decl.domain.values:
-            if v.kind == "sym":
-                self.enum_consts.add(v.payload)
-
-    def _collect_enums(self, p: A.Program):
-        if isinstance(p, A.LocalBlock):
-            for ld in p.decls:
-                self._collect_domain(ld.decl)
-            self._collect_enums(p.body)
-        elif isinstance(p, A.Seq):
-            self._collect_enums(p.first)
-            self._collect_enums(p.second)
-        elif isinstance(p, A.GeneralChoice):
-            self._collect_enums(p.left)
-            self._collect_enums(p.right)
-        elif isinstance(p, A.Cond):
-            self._collect_enums(p.then_branch)
-            self._collect_enums(p.else_branch)
-        elif isinstance(p, A.Atomic):
-            self._collect_enums(p.body)
+        self.enum_consts = {
+            v.payload
+            for d in A.declarations(module)
+            for v in d.domain.values
+            if v.kind == "sym"
+        }
 
     def error(self, code, message, pos=None):
         self.diags.append(Diagnostic(code, message, pos))
@@ -109,8 +89,8 @@ class _Checker:
                 self.error("TypeMismatch", "(x xor y) := e needs a boolean e", p.pos)
             return
         if isinstance(p, A.Seq):
-            self.check_stmt(p.first, scope, in_atomic)
-            self.check_stmt(p.second, scope, in_atomic)
+            for q in A.statements(p):
+                self.check_stmt(q, scope, in_atomic)
             return
         if isinstance(p, A.GeneralChoice):
             kind = self.check_expr(p.prob, scope)

@@ -98,12 +98,6 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def min_entry(self) -> Fraction:
-        return min(x for row in self.rows for x in row)
-
-    def row_sums(self) -> list[Fraction]:
-        return [sum(row, ZERO) for row in self.rows]
-
     def col_sums(self) -> list[Fraction]:
         return [sum(col, ZERO) for col in zip(*self.rows)]
 

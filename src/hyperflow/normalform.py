@@ -1,17 +1,19 @@
 """Matrix normal-form semantics: an independent evaluation backend.
 
 Programs without local blocks denote an indexed set of square matrices
-over the joint (visible, hidden) state space; stacking a split-state row
-vector against each matrix and regrouping the rows reproduces the direct
-evaluator's hyper-distribution.  The same matrix algebra yields the
-precondition check for distributing atomicity brackets over a sequential
-composition.
+over the joint (visible, hidden) state space.  Evaluation pushes the
+split-state row vector through the program: each atomic command and each
+branch weight multiplies the rows built so far, and sequencing is a left
+fold, so no product of two square matrices is formed.  Regrouping the
+resulting rows reproduces the direct evaluator's hyper-distribution.
+The same matrix algebra yields the precondition check for distributing
+atomicity brackets over a sequential composition.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InternalError, UnsupportedConstruct
@@ -22,10 +24,10 @@ from .semantics import (
     HyperDist,
     Scope,
     SplitState,
+    _branch,
     _consts,
     _env_of,
     classical_eval,
-    eval_prob,
     reduce_hyper,
 )
 
@@ -38,20 +40,21 @@ class StateIndex:
     v_tuples: tuple
     h_tuples: tuple
     pairs: tuple  # ((v,h), ...) in (v-major, h-minor) order
+    positions: dict = field(compare=False, repr=False)  # (v,h) -> its place in pairs
 
     @classmethod
     def of_scope(cls, scope: Scope) -> "StateIndex":
         v_tuples = tuple(itertools.product(*(d.domain.values for d in scope.visible)))
         h_tuples = tuple(itertools.product(*(d.domain.values for d in scope.hidden)))
         pairs = tuple((v, h) for v in v_tuples for h in h_tuples)
-        return cls(scope, v_tuples, h_tuples, pairs)
+        return cls(scope, v_tuples, h_tuples, pairs, {vh: i for i, vh in enumerate(pairs)})
 
     @property
     def size(self):
         return len(self.pairs)
 
     def index(self, v, h) -> int:
-        return self.pairs.index((v, h))
+        return self.positions[(v, h)]
 
     def row_of_split_state(self, s: SplitState) -> RatMatrix:
         row = [ZERO] * self.size
@@ -63,26 +66,6 @@ class StateIndex:
         return RatMatrix.diagonal(
             [ONE if pv == v else ZERO for pv, _ in self.pairs]
         )
-
-    def diag_prob(self, expr: A.Expr, complement: bool = False) -> RatMatrix:
-        consts = _consts(self.scope)
-        diag = []
-        for v, h in self.pairs:
-            q = eval_prob(expr, _env_of(self.scope, v, h, consts))
-            diag.append(1 - q if complement else q)
-        return RatMatrix.diagonal(diag)
-
-    def diag_guard(self, guard: A.Expr, complement: bool = False) -> RatMatrix:
-        consts = _consts(self.scope)
-        from .semantics import _boolean, eval_expr
-
-        diag = []
-        for v, h in self.pairs:
-            g = _boolean(
-                eval_expr(guard, _env_of(self.scope, v, h, consts)), "guard"
-            )
-            diag.append(ONE if g != complement else ZERO)
-        return RatMatrix.diagonal(diag)
 
 
 def classical_matrix(p: A.Program, index: StateIndex) -> RatMatrix:
@@ -115,30 +98,27 @@ def normal_form(p: A.Program, scope_or_index) -> NormalForm:
         if isinstance(scope_or_index, StateIndex)
         else StateIndex.of_scope(scope_or_index)
     )
-    return NormalForm(index, _nf(p, index))
+    return NormalForm(index, _nf(p, index, [RatMatrix.identity(index.size)]))
 
 
-def _nf(p: A.Program, index: StateIndex) -> list[RatMatrix]:
+def _nf(p: A.Program, index: StateIndex, xs: list[RatMatrix]) -> list[RatMatrix]:
+    """x @ m for each x of xs and each normal-form matrix m of p."""
     if isinstance(p, _ATOMIC_KINDS):
         body = p.body if isinstance(p, A.Atomic) else p
         base = classical_matrix(body, index)
-        return [base @ index.id_v(v) for v in index.v_tuples]
+        projections = [index.id_v(v) for v in index.v_tuples]
+        return [xb @ d for xb in (x @ base for x in xs) for d in projections]
     if isinstance(p, A.Seq):
-        left = _nf(p.first, index)
-        right = _nf(p.second, index)
-        return [m1 @ m2 for m1 in left for m2 in right]
-    if isinstance(p, A.GeneralChoice):
-        dq = index.diag_prob(p.prob)
-        dnq = index.diag_prob(p.prob, complement=True)
-        return [dq @ m for m in _nf(p.left, index)] + [
-            dnq @ m for m in _nf(p.right, index)
-        ]
-    if isinstance(p, A.Cond):
-        dg = index.diag_guard(p.guard)
-        dng = index.diag_guard(p.guard, complement=True)
-        return [dg @ m for m in _nf(p.then_branch, index)] + [
-            dng @ m for m in _nf(p.else_branch, index)
-        ]
+        for q in A.statements(p):
+            xs = _nf(q, index, xs)
+        return xs
+    if isinstance(p, (A.GeneralChoice, A.Cond)):
+        weight_at, left, right = _branch(p)
+        consts = _consts(index.scope)
+        weights = [weight_at(_env_of(index.scope, v, h, consts)) for v, h in index.pairs]
+        d = RatMatrix.diagonal(weights)
+        dn = RatMatrix.diagonal([1 - q for q in weights])
+        return _nf(left, index, [x @ d for x in xs]) + _nf(right, index, [x @ dn for x in xs])
     if isinstance(p, (A.LocalBlock, A.Reveal, A.XorAssign)):
         raise UnsupportedConstruct(
             f"normal form does not cover {type(p).__name__}; use the direct evaluator"
@@ -167,13 +147,13 @@ def _row_to_split_state(row: RatMatrix, index: StateIndex):
 
 
 def eval_via_normal_form(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
-    """Stack the split-state row against every normal-form matrix and
-    regroup; agrees with the direct evaluator after reduction."""
-    nf = normal_form(p, scope)
-    row = nf.index.row_of_split_state(s)
+    """Push the split-state row through the program, one row per
+    normal-form matrix, and regroup; agrees with the direct evaluator
+    after reduction."""
+    index = StateIndex.of_scope(scope)
     pairs = []
-    for m in nf.matrices:
-        out = _row_to_split_state(row @ m, nf.index)
+    for row in _nf(p, index, [index.row_of_split_state(s)]):
+        out = _row_to_split_state(row, index)
         if out is not None:
             w, st = out
             pairs.append((st, w))

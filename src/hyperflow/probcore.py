@@ -138,9 +138,6 @@ class Domain:
     def __len__(self):
         return len(self.values)
 
-    def index(self, v: Value) -> int:
-        return self.values.index(v)
-
 
 # ---------------------------------------------------------------------------
 # Finite discrete (sub-)distributions

@@ -298,20 +298,6 @@ def _check_domain(decl: A.VarDecl, value: Value):
         raise EvalError(f"value {value} outside the domain of {decl.name}")
 
 
-def _statements(p: A.Program):
-    """The statements of a sequence, left to right, without recursion.
-
-    Sequential composition is associative, so nesting does not matter.
-    """
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, A.Seq):
-            stack += (q.second, q.first)
-        else:
-            yield q
-
-
 def _branch(p):
     """(left branch's weight at an environment, left, right) of a
     conditional or a probabilistic choice; a guard is a 0/1 weight."""
@@ -386,7 +372,7 @@ def _classical(p, scope: Scope, v, h, consts):
         return out
     if isinstance(p, A.Seq):
         states = [((v, h), ONE)]
-        for q in _statements(p):
+        for q in A.statements(p):
             states = _classical_then(states, q, scope, consts)
         return states
     if isinstance(p, (A.Cond, A.GeneralChoice)):
@@ -491,7 +477,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
         return _atomic(p, scope, s, consts)
     if isinstance(p, A.Seq):
         hyper = HyperDist.point(s)
-        for q in _statements(p):
+        for q in A.statements(p):
             hyper = _then(hyper, q, scope, consts)
         return hyper
     if isinstance(p, (A.Cond, A.GeneralChoice)):

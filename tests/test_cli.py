@@ -262,12 +262,24 @@ def test_selftest_subcommand(capsys, monkeypatch):
 
 
 def test_crash_exits_internal_without_traceback(tmp_path, capsys):
-    # 1200 sequenced statements nest deeper than the recursive walkers
-    # reach: the crash is exit 3, never 1 ("verdict fails")
+    # 1200 nested conditionals nest deeper than the recursive-descent
+    # parser reaches: the crash is exit 3, never 1 ("verdict fails")
     deep = tmp_path / "deep.hprog"
-    body = ";\n".join(["v := (v + 1) mod 2"] * 1200)
+    body = "if v = 0 then " * 1200 + "skip" + " else skip fi" * 1200
     deep.write_text(f"vis v : {{0..1}};\nhid h : {{0..1}};\n\n{body}\n")
     code, out, err = invoke(capsys, "eval", str(deep), "--init", "v=0; h~uniform")
     assert code == 3 and out == ""
     assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_long_sequence_evaluates(tmp_path, capsys):
+    # a ';' sequence has no length limit: 1200 flips of v parse, check and
+    # run, and an even number of flips leaves the state as skip does
+    header = "vis v : {0..1};\nhid h : {0..1};\n\n"
+    long, short = tmp_path / "long.hprog", tmp_path / "skip.hprog"
+    long.write_text(header + ";\n".join(["v := (v + 1) mod 2"] * 1200) + "\n")
+    short.write_text(header + "skip\n")
+    code, out, err = invoke(capsys, "eval", str(long), "--init", "v=0; h~uniform")
+    assert code == 0 and err == ""
+    assert out == invoke(capsys, "eval", str(short), "--init", "v=0; h~uniform")[1]

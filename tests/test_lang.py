@@ -8,6 +8,7 @@ from conftest import CORPUS, load, rand_program, small_scope_module
 from hyperflow.errors import HprogSyntaxError, UnknownAgent
 from hyperflow.lang import ast as A
 from hyperflow.lang import (
+    agents_of,
     desugar,
     parse,
     parse_program,
@@ -209,3 +210,39 @@ def test_desugar_fresh_names_avoid_collisions():
     d = desugar(parse(src))
     assert isinstance(d.body, A.LocalBlock)
     assert d.body.decls[0].decl.name != "reveal_1"
+
+
+_LONG_STATEMENTS = [
+    "v := (v + 1) mod 2",
+    "h <- uniform{h, (h + 1) mod 3}",
+    "(a xor k) := v = 1",
+    "local vis{B} t : {0..1} := {0 @ 1} in { reveal (h + t) mod 2 }",
+]
+
+
+def test_walkers_handle_a_long_straight_line_program():
+    # every lang walker iterates the ';' spine instead of recursing on it
+    n = 10_000
+    src = "vis{A} a : {false, true}; vis v : {0..1}; hid h : {0..2}; hid k : {false, true};\n"
+    m = parse(src + ";\n".join(_LONG_STATEMENTS[i % 4] for i in range(n)))
+    stmts = list(A.statements(m.body))
+    assert len(stmts) == n and A.node_count(m.body) == 2 * n - 1 + n // 4
+    assert validate(m) == []
+    assert agents_of(m) == {"A", "B"}
+    assert has_construct(m.body, (A.Reveal,)) and not has_construct(m.body, (A.Cond,))
+    viewed = project_view(m, "A")
+    viewed_stmts = list(A.statements(viewed.body))
+    assert viewed.decls[0].visibility == A.VIS and viewed_stmts[:3] == stmts[:3]
+    assert viewed_stmts[-1].decls[0].decl.visibility == A.HID and len(viewed_stmts) == n
+    d = desugar(viewed)
+    assert not has_construct(d.body, (A.Reveal, A.XorAssign))
+    # each xor-assignment becomes two statements; fresh names follow the source
+    desugared = list(A.statements(d.body))
+    assert len(desugared) == n + n // 4
+    reveals = [q.body.decls[0].decl.name for q in desugared if isinstance(q, A.LocalBlock)]
+    assert reveals == [f"reveal_{i}" for i in range(1, n // 4 + 1)]
+    # ASTs this deep are compared statement by statement: dataclass == recurses
+    text = pretty_print(m)
+    again = parse(text)
+    assert pretty_print(again) == text
+    assert list(A.statements(again.body)) == stmts

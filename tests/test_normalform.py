@@ -1,6 +1,7 @@
 """Matrix normal-form backend and the atomicity distribution check."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,22 @@ def test_seq_normal_form_size_multiplies():
     assert len(nseq.matrices) == len(na.matrices) * len(nb.matrices)
 
 
+def test_seq_normal_form_is_the_pairwise_products():
+    # the paper's sequencing: every product of a matrix of a with one of b
+    rng = random.Random(47)
+    for _ in range(20):
+        a, b = (
+            desugar(small_scope_module(rand_program(rng, depth=2, allow_local=False))).body
+            for _ in range(2)
+        )
+        products = Counter(
+            m1 @ m2
+            for m1 in normal_form(a, SC23).matrices
+            for m2 in normal_form(b, SC23).matrices
+        )
+        assert Counter(normal_form(A.Seq(a, b), SC23).matrices) == products
+
+
 def test_nf_agrees_on_threebox():
     m = desugar(load("threebox_S"))
     scope = Scope.of_module(m)
@@ -70,6 +87,18 @@ def test_nf_agrees_on_threebox():
 def test_nf_agrees_on_skip():
     s = SplitState((vnum(0),), FiniteDist.point((vnum(0),)))
     assert eval_via_normal_form(A.Skip(), SC2, s) == eval_hyper(A.Skip(), SC2, s)
+
+
+def test_nf_agrees_on_a_long_straight_line_program():
+    # one visible value keeps one row, pushed through 10,000 statements
+    src = "vis v : {0}; hid h : {0..2};\n" + ";\n".join(
+        "h <- uniform{h, (h + 1) mod 3}" if i % 2 else "h := (h * 2) mod 3"
+        for i in range(10_000)
+    )
+    m = parse(src)
+    scope = Scope.of_module(m)
+    s = SplitState((vnum(0),), FiniteDist.point((vnum(1),)))
+    assert eval_via_normal_form(m.body, scope, s) == eval_hyper(m.body, scope, s)
 
 
 def test_nf_rejects_local_blocks():
