@@ -35,7 +35,13 @@ from .lp import LinearProgram, solve_max
 from .matrix import RatMatrix
 from .measures import bayes_vuln
 from .probcore import ONE, ZERO, Value, value_key, vnum
-from .refine import NotRefined, Partition, check_refinement, refinement_lp
+from .refine import (
+    NotRefined,
+    Partition,
+    check_partition_refinement,
+    check_refinement,
+    hidden_columns,
+)
 from .semantics import Scope, SplitState, eval as eval_hyper
 
 DEFAULT_VERTEX_CAP = 2 ** 20
@@ -73,7 +79,7 @@ def refinement_score_range(x: RatMatrix, mat_s: RatMatrix) -> tuple[Fraction, Fr
 
 
 def _matrices(pi_s: Partition, pi_i: Partition) -> tuple[RatMatrix, RatMatrix, list]:
-    h_columns = sorted(set(pi_s.h_support()) | set(pi_i.h_support()), key=value_key)
+    h_columns = hidden_columns(pi_s, pi_i)
     return pi_s.matrix(h_columns), pi_i.matrix(h_columns), h_columns
 
 
@@ -87,12 +93,9 @@ def separating_direction_from_certificate(
     """
     mat_s, mat_i, h_columns = _matrices(pi_s, pi_i)
     if certificate is None:
-        from .lp import InfeasibleCert, solve_feasibility
-
-        result = solve_feasibility(refinement_lp(mat_s, mat_i))
-        if not isinstance(result, InfeasibleCert):
+        _, certificate = check_partition_refinement(pi_s, pi_i)
+        if certificate is None:
             raise NotSeparable("partitions are in refinement; nothing to separate")
-        certificate = result.certificate
     f_s, f_i, nh = mat_s.nrows, mat_i.nrows, len(h_columns)
     # constraint layout: f_s column sums, then (r, h) product equations
     x = RatMatrix(

@@ -3,7 +3,11 @@
 A dense two-phase simplex over Fractions with Bland's rule, used for
 refinement feasibility (with Farkas infeasibility certificates that feed
 attack synthesis) and for bounded maximisation (separation margins).
-Every answer is re-verified by exact substitution before it is returned.
+A certificate is the phase-1 dual, read off the final tableau's artificial
+columns.  Refinement LPs arrive presolved: refine.py solves them on a
+column basis of the hidden values and pads certificates back to the full
+layout.  Every answer is re-verified by exact substitution before it is
+returned.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InternalError, LpError, Unbounded
-from .matrix import RatMatrix, solve_linear
 from .probcore import ONE, ZERO, rat
 
 Bound = tuple[Optional[Fraction], Optional[Fraction]]
@@ -151,8 +154,6 @@ class _Standardised:
     n_struct: int  # structural columns (after bound substitution)
     n_slack: int
     art_start: int
-    orig_rows: list[list[Fraction]]  # standard-form rows pre-elimination
-    orig_b: list[Fraction]
     row_sign: list[Fraction]  # +1 / -1 applied to make b >= 0
     row_of: list[int]  # original constraint index per standard row
     decode: "callable"
@@ -238,10 +239,6 @@ def _standardise(lp: LinearProgram) -> _Standardised:
         row_sign.append(sign)
     b = [abs(x) for x in rhs]
 
-    # keep pristine copies for dual extraction and verification
-    orig_rows = [row[:] for row in a_rows]
-    orig_b = b[:]
-
     # artificial columns seed the basis
     for i in range(m):
         for r in range(m):
@@ -262,7 +259,7 @@ def _standardise(lp: LinearProgram) -> _Standardised:
     if lp.objective is not None:
         cost, _ = expand(lp.objective)
     return _Standardised(
-        tab, n_struct, n_slack, full_n, orig_rows, orig_b, row_sign, row_of, decode, cost
+        tab, n_struct, n_slack, full_n, row_sign, row_of, decode, cost
     )
 
 
@@ -306,26 +303,19 @@ def _verify_certificate(lp: LinearProgram, y: list[Fraction]):
 
 def _extract_certificate(lp: LinearProgram, std: _Standardised) -> list[Fraction]:
     """Duals of the phase-1 optimum: y = c_B B^-1 over standard rows, then
-    mapped back through row negation to the original constraints."""
+    mapped back through row negation to the original constraints.
+
+    The artificial columns started as the identity, so they now hold B^-1,
+    and c_B is one exactly on the rows whose basic column is artificial.
+    """
     tab = std.tableau
-    m = tab.m
-    basis_cols = []
-    cb = []
-    for j in tab.basis:
-        if j >= std.art_start:
-            col = [ONE if r == j - std.art_start else ZERO for r in range(m)]
-            cb.append(ONE)
-        else:
-            col = [std.orig_rows[r][j] for r in range(m)]
-            cb.append(ZERO)
-        basis_cols.append(col)
-    bmat = RatMatrix([[basis_cols[c][r] for c in range(m)] for r in range(m)])
-    y_std = solve_linear(bmat.transpose(), cb)
+    art_rows = [tab.a[r] for r, j in enumerate(tab.basis) if j >= std.art_start]
     y = [ZERO] * len(lp.constraints)
-    for r in range(m):
-        i = std.row_of[r]
+    for k in range(tab.m):
+        i = std.row_of[k]
         if i >= 0:
-            y[i] += std.row_sign[r] * y_std[r]
+            col = std.art_start + k
+            y[i] += std.row_sign[k] * sum((row[col] for row in art_rows), ZERO)
     return y
 
 

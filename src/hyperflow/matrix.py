@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InternalError, NotRefinementMatrix
+from .errors import NotRefinementMatrix
 from .probcore import ZERO, ONE, rat
 
 
@@ -109,23 +109,3 @@ class RatMatrix:
     def check_refinement_matrix(self):
         if not self.is_column_stochastic():
             raise NotRefinementMatrix(f"not column-stochastic: {self!r}")
-
-
-def solve_linear(a: RatMatrix, b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a x = b exactly for square non-singular a (Gaussian elimination)."""
-    n = a.nrows
-    if a.ncols != n or len(b) != n:
-        raise ValueError("solve_linear expects a square system")
-    m = [row[:] + [rat(bi)] for row, bi in zip(a.rows, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise InternalError("singular basis matrix in linear solve")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NotRefinementMatrix
-from .lp import Feasible, LinearProgram, solve_feasibility
+from .lp import Feasible, LinearProgram, _verify_certificate, solve_feasibility
 from .matrix import RatMatrix
 from .measures import ft
 from .probcore import ONE, ZERO, FiniteDist, normalize, value_key
@@ -120,6 +120,11 @@ def refinement_lp(mat_s: RatMatrix, mat_i: RatMatrix) -> LinearProgram:
     rows(S) column-sum equations first, then the product equations in
     (target row, hidden column) order -- attack synthesis relies on this
     layout when reading the Farkas certificate.
+
+    check_partition_refinement solves it on a column basis of the hidden
+    values (independent_columns), since the other columns' product
+    equations are implied; the certificates it returns are still in this
+    layout over every hidden column, with zeros on the implied equations.
     """
     f_s, f_i = mat_s.nrows, mat_i.nrows
     if mat_s.ncols != mat_i.ncols:
@@ -139,28 +144,87 @@ def refinement_lp(mat_s: RatMatrix, mat_i: RatMatrix) -> LinearProgram:
     return lp
 
 
+def hidden_columns(pi_s: Partition, pi_i: Partition) -> list:
+    """The hidden values of either partition, in the canonical column order
+    that refinement matrices, certificates and attack directions share."""
+    hs = {h for pi in (pi_s, pi_i) for f in pi.fractions for h, _ in f}
+    return sorted(hs, key=value_key)
+
+
+def independent_columns(mat_s: RatMatrix, mat_i: RatMatrix) -> list[int]:
+    """Indices of a maximal linearly independent set of hidden columns of
+    the stacked [mat_s; mat_i], picked left to right by one Gaussian sweep.
+
+    The product equation of every other column is a linear combination of
+    the kept columns' equations, so the refinement LP needs only these.
+    """
+    stacked = mat_s.rows + mat_i.rows
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot row, reduced column)
+    kept: list[int] = []
+    for h in range(mat_s.ncols):
+        if len(kept) == len(stacked):
+            break  # full row rank: every further column is dependent
+        col = [row[h] for row in stacked]
+        for p, b in basis:
+            if col[p]:
+                f = col[p]
+                col = [x - f * y for x, y in zip(col, b)]
+        p = next((r for r, x in enumerate(col) if x), None)
+        if p is not None:
+            inv = 1 / col[p]
+            basis.append((p, [x * inv for x in col]))
+            kept.append(h)
+    return kept
+
+
+def _full_certificate(cert: list, mat_s: RatMatrix, mat_i: RatMatrix, kept: list[int]) -> list:
+    """Spread the certificate of the LP on the kept columns over
+    refinement_lp's full layout, with zero multipliers on the dropped
+    product equations, and verify it against the full LP."""
+    f_s, f_i, nh = mat_s.nrows, mat_i.nrows, mat_s.ncols
+    if len(kept) == nh:
+        return cert
+    full = cert[:f_s] + [ZERO] * (f_i * nh)
+    for r in range(f_i):
+        for k, h in enumerate(kept):
+            full[f_s + r * nh + h] = cert[f_s + r * len(kept) + k]
+    _verify_certificate(refinement_lp(mat_s, mat_i), full)
+    return full
+
+
 def check_partition_refinement(
     pi_s: Partition, pi_i: Partition
 ) -> tuple[Optional[RatMatrix], Optional[list]]:
     """(witness matrix, None) if pi_s is refined by pi_i, else
-    (None, farkas certificate)."""
-    h_columns = sorted(
-        set(pi_s.h_support()) | set(pi_i.h_support()), key=value_key
-    )
-    mat_s = pi_s.matrix(h_columns)
-    mat_i = pi_i.matrix(h_columns)
-    result = solve_feasibility(refinement_lp(mat_s, mat_i))
-    if isinstance(result, Feasible):
+    (None, Farkas certificate of refinement_lp over hidden_columns).
+
+    Equal partitions take the identity witness without an LP; otherwise
+    the LP is solved on independent_columns only.
+    """
+    h_columns = hidden_columns(pi_s, pi_i)
+    mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
+    if pi_s.fractions == pi_i.fractions:
+        # canonical partitions are sorted, so equal ones match row for row
+        r = RatMatrix.identity(mat_s.nrows)
+    else:
+        kept = independent_columns(mat_s, mat_i)
+        result = solve_feasibility(
+            refinement_lp(
+                RatMatrix([[row[h] for h in kept] for row in mat_s.rows]),
+                RatMatrix([[row[h] for h in kept] for row in mat_i.rows]),
+            )
+        )
+        if not isinstance(result, Feasible):
+            return None, _full_certificate(result.certificate, mat_s, mat_i, kept)
         f_s, f_i = mat_s.nrows, mat_i.nrows
         r = RatMatrix(
             [[result.point[row * f_s + c] for c in range(f_s)] for row in range(f_i)]
         )
-        # witness soundness: re-verify by exact multiplication
-        r.check_refinement_matrix()
-        if r @ mat_s != mat_i:
-            raise NotRefinementMatrix("LP returned a non-reproducing witness")
-        return r, None
-    return None, result.certificate
+    # witness soundness: re-verify by exact multiplication
+    r.check_refinement_matrix()
+    if r @ mat_s != mat_i:
+        raise NotRefinementMatrix("LP returned a non-reproducing witness")
+    return r, None
 
 
 def check_refinement(
@@ -186,11 +250,12 @@ def check_refinement(
             return NotRefined(v=v, pi_s=pi_s, pi_i=pi_i)
         witness, cert = check_partition_refinement(pi_s, pi_i)
         if witness is None:
-            h_columns = sorted(
-                set(pi_s.h_support()) | set(pi_i.h_support()), key=value_key
-            )
             return NotRefined(
-                v=v, certificate=cert, pi_s=pi_s, pi_i=pi_i, h_columns=h_columns
+                v=v,
+                certificate=cert,
+                pi_s=pi_s,
+                pi_i=pi_i,
+                h_columns=hidden_columns(pi_s, pi_i),
             )
         per_v[v] = witness
     return RefinementWitness(per_v)

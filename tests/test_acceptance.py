@@ -472,3 +472,33 @@ def test_criterion_8_three_judges():
                     b = eval_hyper(mi.body, sci, s0)
                     assert isinstance(check_refinement(a, b), RefinementWitness)
                     assert isinstance(check_refinement(b, a), RefinementWitness)
+
+
+def sweep_program(n: int, atomic_tail: bool = False) -> str:
+    """The sweep-family program over h : {0..n-1}, v : {0..7}; with
+    atomic_tail its last three statements run as one atomic block."""
+    body = [
+        "v <- uniform{0, 1}",
+        f"h <- {{(h + v) mod {n} @ 1/2, (h * 3) mod {n} @ 1/2}}",
+        f"if h mod 2 = 0 then v := h mod 8 else v <- uniform{{0, 1, 2, 3, 4, 5, 6, 7}} fi",
+        f"h := (h + 1) mod {n} [1/3] h := (h * 2) mod {n}",
+        "v := (h + v) mod 8",
+    ]
+    if atomic_tail:
+        body[-3:] = ["atomic { " + "; ".join(body[-3:]) + " }"]
+    return f"hid h : {{0..{n - 1}}}; vis v : {{0..7}}; " + "; ".join(body)
+
+
+def test_refinement_at_a_large_hidden_domain():
+    # many more hidden values than fractions per visible value: the LP is
+    # solved on a column basis of the hidden values, and equal partitions
+    # need no LP at all
+    n = 256
+    init = SplitState((vnum(0),), FiniteDist.uniform([ht(k) for k in range(n)]))
+    with Budget(f"large hidden domain: sweep program at N = {n}, self and atomic tail", 8.0):
+        h = run_source(sweep_program(n), init)
+        a = run_source(sweep_program(n, atomic_tail=True), init)
+        same = check_refinement(h, h)
+        assert isinstance(same, RefinementWitness)
+        assert all(r == RatMatrix.identity(r.nrows) for r in same.per_v.values())
+        assert isinstance(check_refinement(h, a), RefinementWitness)

@@ -270,3 +270,158 @@ def test_decompose_reconstructs_random_matrices():
                 [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(acc.rows, m.rows)]
             )
         assert acc == r
+
+
+# -- presolved LP against the plain LP --------------------------------------------
+
+
+def rand_partition(rng, n_fractions, n_h, weight=F(1)):
+    """n_fractions random fractions over the hidden values 0..n_h-1 that
+    add up to `weight`; each uses a random subset of the hidden values."""
+    shares = [F(rng.randint(1, 9)) for _ in range(n_fractions)]
+    total = sum(shares)
+    out = []
+    for share in shares:
+        hs = rng.sample(range(n_h), rng.randint(1, n_h))
+        ws = [F(rng.randint(1, 9)) for _ in hs]
+        out.append(frac(*[(h, w / sum(ws) * share / total * weight) for h, w in zip(hs, ws)]))
+    return Partition.of(out)
+
+
+def merge_partition(rng, pi, rows):
+    """R x pi for a random column-stochastic R with the given row count."""
+    r = rand_refinement_matrix(rng, rows, len(pi))
+    merged = []
+    for row in range(rows):
+        acc = FiniteDist([])
+        for col, f in enumerate(pi.fractions):
+            acc = acc.add(f.scale(r[row, col]))
+        if acc.weight:
+            merged.append(acc)
+    return Partition.of(merged)
+
+
+def presolve_pairs(seed, count):
+    """Seeded (pi_s, pi_i) pairs: refining merges and their non-refining
+    reverses, equal partitions, and unrelated pairs of equal weight, with
+    between 2 and 12 hidden values against 2 to 6 fractions."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n_h = rng.choice([2, 3, 4, 8, 12])
+        fine = rand_partition(rng, rng.randint(2, 4), n_h)
+        coarse = merge_partition(rng, fine, rng.randint(1, len(fine)))
+        kind = k % 4
+        if kind == 0:
+            yield fine, coarse
+        elif kind == 1:
+            yield coarse, fine
+        elif kind == 2:
+            yield fine, Partition.of(fine.fractions)
+        else:
+            yield fine, rand_partition(rng, rng.randint(1, 3), n_h)
+
+
+def _rank(vectors):
+    """Rank of a list of rational vectors, by row reduction."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_presolved_lp_agrees_with_the_plain_lp():
+    from hyperflow.attack import separating_direction_from_certificate
+    from hyperflow.lp import Feasible, _verify_certificate, solve_feasibility
+    from hyperflow.refine import (
+        check_partition_refinement,
+        hidden_columns,
+        independent_columns,
+        refinement_lp,
+    )
+
+    seen = {"refined": 0, "not refined": 0, "reduced": 0, "full rank": 0, "equal": 0, "wide": 0}
+    for pi_s, pi_i in presolve_pairs(611, 160):
+        h_columns = hidden_columns(pi_s, pi_i)
+        mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
+        full = refinement_lp(mat_s, mat_i)
+        plain = solve_feasibility(full)
+        witness, cert = check_partition_refinement(pi_s, pi_i)
+        assert (witness is not None) == isinstance(plain, Feasible)
+        if pi_s == pi_i:
+            seen["equal"] += 1
+        elif len(independent_columns(mat_s, mat_i)) < len(h_columns):
+            seen["reduced"] += 1
+        else:
+            seen["full rank"] += 1
+        # more hidden columns than the stacked matrix has rows
+        seen["wide"] += len(h_columns) > len(pi_s) + len(pi_i)
+        if witness is not None:
+            seen["refined"] += 1
+            assert cert is None
+            assert witness.is_column_stochastic() and witness @ mat_s == mat_i
+        else:
+            seen["not refined"] += 1
+            assert len(cert) == len(full.constraints)
+            _verify_certificate(full, cert)
+            assert separating_direction_from_certificate(pi_s, pi_i, cert).margin > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lp_is_solved_on_the_kept_columns_only(monkeypatch):
+    import hyperflow.refine as refine_mod
+
+    shapes = []
+    real = refine_mod.solve_feasibility
+
+    def spy(lp):
+        shapes.append((lp.num_vars, len(lp.constraints)))
+        return real(lp)
+
+    monkeypatch.setattr(refine_mod, "solve_feasibility", spy)
+    fine = Partition.of([frac(*[(h, F(1, 16)) for h in range(8)]), frac(*[(h, F(1, 16)) for h in range(8, 16)])])
+    coarse = Partition.of([frac(*[(h, F(1, 16)) for h in range(16)])])
+    # 16 hidden columns, stacked rank 2: one column-sum equation per source
+    # fraction plus one product equation per target fraction and kept column
+    assert refine_mod.check_partition_refinement(fine, coarse)[0] is not None
+    assert shapes == [(2, 2 + 1 * 2)]
+    witness, cert = refine_mod.check_partition_refinement(coarse, fine)
+    assert witness is None and len(cert) == 1 + 2 * 16
+    assert shapes[1] == (2, 1 + 2 * 2)
+    # equal partitions take the identity without an LP
+    assert refine_mod.check_partition_refinement(fine, fine)[0] == RatMatrix.identity(2)
+    assert len(shapes) == 2
+
+
+def test_independent_columns_span_the_stacked_matrix():
+    from hyperflow.refine import independent_columns
+
+    rng = random.Random(612)
+    dropped = 0
+    for _ in range(80):
+        f_s, f_i = rng.randint(1, 4), rng.randint(1, 4)
+        rank = rng.randint(1, f_s + f_i)
+        base = [[F(rng.randint(-3, 3)) for _ in range(f_s + f_i)] for _ in range(rank)]
+        cols = []
+        for _ in range(rng.randint(1, 10)):
+            coefs = [F(rng.randint(-2, 2)) for _ in base]
+            cols.append([sum((c * b[r] for c, b in zip(coefs, base)), F(0)) for r in range(f_s + f_i)])
+        mat_s = RatMatrix([[col[r] for col in cols] for r in range(f_s)])
+        mat_i = RatMatrix([[col[r] for col in cols] for r in range(f_s, f_s + f_i)])
+        kept = independent_columns(mat_s, mat_i)
+        assert kept == sorted(set(kept))
+        # the kept columns are independent and span every column
+        assert _rank([cols[h] for h in kept]) == len(kept) == _rank(cols)
+        dropped += len(cols) - len(kept)
+        # a picker that dropped one more column would leave it outside the span
+        for h in kept:
+            assert _rank([cols[k] for k in kept if k != h]) < _rank(cols)
+    assert dropped > 0
