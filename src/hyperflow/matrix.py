@@ -1,7 +1,9 @@
 """Dense exact-rational matrices.
 
-Sizes in this package are tiny (a few hundred entries at most), so a dense
-list-of-rows representation with Fraction entries is plenty.
+`RatMatrix` serves refinement (partition matrices, witnesses), attacks
+and the normal form's test-facing output.  Partition matrices can have
+hundreds of hidden columns, but few rows; the normal form evaluates on
+sparse rows of its own and builds a `RatMatrix` only for its output.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ class RatMatrix:
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag: Sequence) -> "RatMatrix":
-        n = len(diag)
-        m = cls.zero(n, n)
-        for i, x in enumerate(diag):
-            m.rows[i][i] = rat(x)
-        return m
 
     def __getitem__(self, ij):
         i, j = ij

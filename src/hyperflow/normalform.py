@@ -1,13 +1,15 @@
 """Matrix normal-form semantics: an independent evaluation backend.
 
 Programs without local blocks denote an indexed set of square matrices
-over the joint (visible, hidden) state space.  Evaluation pushes the
-split-state row vector through the program: each atomic command and each
-branch weight multiplies the rows built so far, and sequencing is a left
-fold, so no product of two square matrices is formed.  Regrouping the
-resulting rows reproduces the direct evaluator's hyper-distribution.
-The same matrix algebra yields the precondition check for distributing
-atomicity brackets over a sequential composition.
+over the joint (visible, hidden) state space, held as sparse rows: dicts
+from a state's position to its nonzero weight.  Evaluation pushes the
+split-state row through the program (atomic commands multiply by their
+classical matrix and split by visible value, branches scale by their
+weights, sequencing is a left fold) and drops the rows that become zero.
+Rows are never merged, so regrouping them reproduces the direct
+evaluator's hyper-distribution independently.  The same classical rows
+yield the precondition check for distributing atomicity brackets over a
+sequential composition.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ from typing import Optional
 from .errors import InternalError, UnsupportedConstruct
 from .lang import ast as A
 from .matrix import RatMatrix
-from .probcore import ONE, ZERO, FiniteDist
+from .probcore import ONE, ZERO
 from .semantics import (
     HyperDist,
     Scope,
     SplitState,
     _branch,
+    _classical,
     _consts,
     _env_of,
-    classical_eval,
+    _split_state,
     reduce_hyper,
 )
 
@@ -56,28 +59,32 @@ class StateIndex:
     def index(self, v, h) -> int:
         return self.positions[(v, h)]
 
-    def row_of_split_state(self, s: SplitState) -> RatMatrix:
-        row = [ZERO] * self.size
-        for h, w in s.delta:
-            row[self.index(s.v, h)] = w
-        return RatMatrix([row])
-
     def id_v(self, v) -> RatMatrix:
-        return RatMatrix.diagonal(
-            [ONE if pv == v else ZERO for pv, _ in self.pairs]
-        )
+        return _dense([{i: ONE} if pv == v else {} for i, (pv, _) in enumerate(self.pairs)], self.size)
+
+
+def _dense(rows: list[dict], n: int) -> RatMatrix:
+    """The n-column matrix of sparse rows."""
+    return RatMatrix([[row.get(j, ZERO) for j in range(n)] for row in rows])
+
+
+def classical_rows(p: A.Program, index: StateIndex) -> list[dict]:
+    """The classical relational meaning as sparse rows: row i maps each
+    position reachable from pairs[i] to its nonzero weight."""
+    consts = _consts(index.scope)
+    rows = []
+    for v, h in index.pairs:
+        row = {}
+        for vh, w in _classical(p, index.scope, v, h, consts):
+            j = index.positions[vh]
+            row[j] = row.get(j, ZERO) + w
+        rows.append({j: w for j, w in row.items() if w})
+    return rows
 
 
 def classical_matrix(p: A.Program, index: StateIndex) -> RatMatrix:
     """Row-stochastic matrix of the classical relational meaning."""
-    rows = []
-    for v, h in index.pairs:
-        out = classical_eval(p, index.scope, (v, h))
-        row = [ZERO] * index.size
-        for (v2, h2), w in out:
-            row[index.index(v2, h2)] += w
-        rows.append(row)
-    return RatMatrix(rows)
+    return _dense(classical_rows(p, index), index.size)
 
 
 @dataclass
@@ -89,36 +96,52 @@ class NormalForm:
 _ATOMIC_KINDS = (A.Skip, A.Assign, A.Choose, A.Atomic)
 
 
-def normal_form(p: A.Program, scope_or_index) -> NormalForm:
+def normal_form(p: A.Program, scope: Scope) -> NormalForm:
     """Structural normal form: atomic commands embed their classical matrix
     against every visible projection; general choice scales by the branch
     probabilities; sequencing multiplies pairwise."""
-    index = (
-        scope_or_index
-        if isinstance(scope_or_index, StateIndex)
-        else StateIndex.of_scope(scope_or_index)
-    )
-    return NormalForm(index, _nf(p, index, [RatMatrix.identity(index.size)]))
+    index = StateIndex.of_scope(scope)
+    identity = [{i: ONE} for i in range(index.size)]
+    blocks = _nf(p, index, [identity], keep_zero=True)
+    return NormalForm(index, [_dense(block, index.size) for block in blocks])
 
 
-def _nf(p: A.Program, index: StateIndex, xs: list[RatMatrix]) -> list[RatMatrix]:
-    """x @ m for each x of xs and each normal-form matrix m of p."""
+def _nf(p: A.Program, index: StateIndex, blocks: list, *, keep_zero: bool) -> list:
+    """x @ m for each block of rows x and each normal-form matrix m of p.
+
+    Unless keep_zero, an atomic command drops the all-zero products, so
+    a branch's zero rows go no further than its first atomic command."""
     if isinstance(p, _ATOMIC_KINDS):
-        body = p.body if isinstance(p, A.Atomic) else p
-        base = classical_matrix(body, index)
-        projections = [index.id_v(v) for v in index.v_tuples]
-        return [xb @ d for xb in (x @ base for x in xs) for d in projections]
+        crows = classical_rows(p.body if isinstance(p, A.Atomic) else p, index)
+        nh, nv = len(index.h_tuples), len(index.v_tuples)
+        out = []
+        for block in blocks:
+            # the product's rows, split by visible value: pairs is v-major, so
+            # column j belongs to the visible value at place j // nh
+            split = [[{} for _ in block] for _ in range(nv)]
+            for i, row in enumerate(block):
+                for k, a in row.items():
+                    for j, b in crows[k].items():
+                        part = split[j // nh][i]
+                        part[j] = part.get(j, ZERO) + a * b
+            out += [x for x in split if keep_zero or any(x)]
+        return out
     if isinstance(p, A.Seq):
         for q in A.statements(p):
-            xs = _nf(q, index, xs)
-        return xs
+            blocks = _nf(q, index, blocks, keep_zero=keep_zero)
+        return blocks
     if isinstance(p, (A.GeneralChoice, A.Cond)):
         weight_at, left, right = _branch(p)
         consts = _consts(index.scope)
         weights = [weight_at(_env_of(index.scope, v, h, consts)) for v, h in index.pairs]
-        d = RatMatrix.diagonal(weights)
-        dn = RatMatrix.diagonal([1 - q for q in weights])
-        return _nf(left, index, [x @ d for x in xs]) + _nf(right, index, [x @ dn for x in xs])
+
+        def scaled(ws):
+            return [[{j: a * ws[j] for j, a in row.items() if ws[j]} for row in block] for block in blocks]
+
+        return (
+            _nf(left, index, scaled(weights), keep_zero=keep_zero)
+            + _nf(right, index, scaled([1 - q for q in weights]), keep_zero=keep_zero)
+        )
     if isinstance(p, (A.LocalBlock, A.Reveal, A.XorAssign)):
         raise UnsupportedConstruct(
             f"normal form does not cover {type(p).__name__}; use the direct evaluator"
@@ -126,37 +149,20 @@ def _nf(p: A.Program, index: StateIndex, xs: list[RatMatrix]) -> list[RatMatrix]
     raise TypeError(p)
 
 
-def _row_to_split_state(row: RatMatrix, index: StateIndex):
-    """A V-unique row back into (weight, split-state); None if zero."""
-    weight = sum(row.rows[0], ZERO)
-    if weight == 0:
-        return None
-    chars = {index.pairs[j][0] for j, x in enumerate(row.rows[0]) if x != 0}
-    if len(chars) != 1:
-        raise InternalError("normal-form row is not V-unique")
-    v = chars.pop()
-    inv = 1 / weight
-    delta = FiniteDist(
-        [
-            (index.pairs[j][1], x * inv)
-            for j, x in enumerate(row.rows[0])
-            if x != 0
-        ]
-    )
-    return weight, SplitState(v, delta)
-
-
 def eval_via_normal_form(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
-    """Push the split-state row through the program, one row per
-    normal-form matrix, and regroup; agrees with the direct evaluator
+    """Push the split-state row through the program, one row per nonzero
+    normal-form product, and regroup; agrees with the direct evaluator
     after reduction."""
     index = StateIndex.of_scope(scope)
+    nh = len(index.h_tuples)
+    start = {index.index(s.v, h): w for h, w in s.delta}
     pairs = []
-    for row in _nf(p, index, [index.row_of_split_state(s)]):
-        out = _row_to_split_state(row, index)
-        if out is not None:
-            w, st = out
-            pairs.append((st, w))
+    for [row] in _nf(p, index, [[start]], keep_zero=False):
+        places = {j // nh for j in row}
+        if len(places) != 1:
+            raise InternalError("normal-form row is not V-unique")
+        st, w = _split_state(index.v_tuples[places.pop()], [(index.pairs[j][1], x) for j, x in row.items()])
+        pairs.append((st, w))
     return reduce_hyper(pairs)
 
 
@@ -182,31 +188,20 @@ def check_atomic_distribution(
     jointly or in two steps makes no difference.
     """
     index = StateIndex.of_scope(scope)
-    c1 = classical_matrix(p1, index)
-    c2 = classical_matrix(p2, index)
-    h_count = len(index.h_tuples)
-
-    for v in index.v_tuples:
-        for v_final in index.v_tuples:
-            linking = [
-                vhat
-                for vhat in index.v_tuples
-                if _links(c1, c2, index, h_count, v, vhat, v_final)
-            ]
-            if len(linking) > 1:
-                return AtomicityReport(False, (v, v_final, linking[0], linking[1]))
+    nh = len(index.h_tuples)
+    into = {}  # intermediate position -> visible places of the states p1 takes to it
+    for i, row in enumerate(classical_rows(p1, index)):
+        for j in row:
+            into.setdefault(j, set()).add(i // nh)
+    c2 = classical_rows(p2, index)
+    linking = {}  # (initial place, final place) -> intermediate places
+    for j, sources in into.items():
+        for jf in c2[j]:
+            for t in sources:
+                linking.setdefault((t, jf // nh), set()).add(j // nh)
+    v = index.v_tuples
+    for (t, f), between in sorted(linking.items()):
+        if len(between) > 1:
+            first, second = sorted(between)[:2]
+            return AtomicityReport(False, (v[t], v[f], v[first], v[second]))
     return AtomicityReport(True)
-
-
-def _links(c1, c2, index, h_count, v, vhat, v_final) -> bool:
-    """Nonzero mass flows v -> vhat -> v_final through c1 then c2."""
-    base_v = index.v_tuples.index(v) * h_count
-    base_m = index.v_tuples.index(vhat) * h_count
-    base_f = index.v_tuples.index(v_final) * h_count
-    for jm in range(base_m, base_m + h_count):
-        into = any(c1[i, jm] != 0 for i in range(base_v, base_v + h_count))
-        if not into:
-            continue
-        if any(c2[jm, jf] != 0 for jf in range(base_f, base_f + h_count)):
-            return True
-    return False

@@ -13,6 +13,7 @@ from hyperflow.lang import desugar, parse, parse_program
 from hyperflow.matrix import RatMatrix
 from hyperflow.normalform import (
     StateIndex,
+    _nf,
     check_atomic_distribution,
     classical_matrix,
     eval_via_normal_form,
@@ -101,6 +102,18 @@ def test_nf_agrees_on_a_long_straight_line_program():
     assert eval_via_normal_form(m.body, scope, s) == eval_hyper(m.body, scope, s)
 
 
+def test_nf_evaluation_drops_zero_rows():
+    # each assignment splits by the four visible values; only v = 0 carries mass
+    m = parse("vis v : {0..3}; hid h : {0,1}; v := 0; v := 0; v := 0")
+    scope = Scope.of_module(m)
+    assert len(normal_form(m.body, scope).matrices) == 4**3
+    index = StateIndex.of_scope(scope)
+    s = SplitState((vnum(2),), FiniteDist([((vnum(0),), F(1, 3)), ((vnum(1),), F(2, 3))]))
+    row = {index.index(s.v, h): w for h, w in s.delta}
+    assert len(_nf(m.body, index, [[row]], keep_zero=False)) == 1
+    assert eval_via_normal_form(m.body, scope, s) == eval_hyper(m.body, scope, s)
+
+
 def test_nf_rejects_local_blocks():
     src = "vis v : {0,1}; local hid t : {0,1} := {0 @ 1} in { skip }"
     m = parse(src)
@@ -162,3 +175,46 @@ def test_atomicity_precondition_implies_distribution_law():
             rhs = eval_hyper(A.Seq(A.Atomic(p1), A.Atomic(p2)), SC23, s)
             assert lhs == rhs
     assert ok_pairs >= 12
+
+
+def _brute_force_witness(p1, p2, scope):
+    """The first (v, v', vhat1, vhat2) in v_tuples order where two
+    intermediate visible values link v to v', read off dense matrices."""
+    index = StateIndex.of_scope(scope)
+    c1, c2 = classical_matrix(p1, index), classical_matrix(p2, index)
+    nh = len(index.h_tuples)
+
+    def block(v):
+        t = index.v_tuples.index(v)
+        return range(t * nh, (t + 1) * nh)
+
+    def links(v, vhat, v_final):
+        return any(
+            any(c1[i, jm] != 0 for i in block(v)) and any(c2[jm, jf] != 0 for jf in block(v_final))
+            for jm in block(vhat)
+        )
+
+    for v in index.v_tuples:
+        for v_final in index.v_tuples:
+            linking = [vhat for vhat in index.v_tuples if links(v, vhat, v_final)]
+            if len(linking) > 1:
+                return (v, v_final, linking[0], linking[1])
+    return None
+
+
+def test_atomicity_witness_matches_brute_force():
+    rng = random.Random(53)
+    failing = 0
+    for _ in range(300):
+        v_dom, h_dom = rng.choice([2, 3, 4]), rng.choice([2, 3])
+        scope = Scope.of_module(parse(f"vis v : {{0..{v_dom - 1}}}; hid h : {{0..{h_dom - 1}}}; skip"))
+        p1, p2 = (
+            rand_program(rng, depth=2, allow_local=False, in_atomic=True, v_dom=v_dom, h_dom=h_dom)
+            for _ in range(2)
+        )
+        report = check_atomic_distribution(p1, p2, scope)
+        expected = _brute_force_witness(p1, p2, scope)
+        assert report.ok == (expected is None)
+        assert report.witness == expected
+        failing += not report.ok
+    assert failing >= 30
