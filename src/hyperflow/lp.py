@@ -1,13 +1,16 @@
 """Exact-rational linear programming.
 
-A dense two-phase simplex over Fractions with Bland's rule, used for
-refinement feasibility (with Farkas infeasibility certificates that feed
-attack synthesis) and for bounded maximisation (separation margins).
-A certificate is the phase-1 dual, read off the final tableau's artificial
-columns.  Refinement LPs arrive presolved: refine.py solves them on a
-column basis of the hidden values and pads certificates back to the full
-layout.  Every answer is re-verified by exact substitution before it is
-returned.
+A dense two-phase simplex with Bland's rule, used for refinement
+feasibility (with Farkas infeasibility certificates that feed attack
+synthesis) and for bounded maximisation (separation margins).  The
+tableau is held fraction-free, as Python ints over one common positive
+denominator, and pivots divide exactly (Edmonds 1967, Bareiss 1968);
+Fractions appear only where a point, an optimum or a certificate is read
+off it.  A certificate is the phase-1 dual, read off the final tableau's
+artificial columns.  Refinement LPs arrive presolved: refine.py solves
+them on a column basis of the hidden values and pads certificates back to
+the full layout.  Every answer is re-verified by exact substitution before
+it is returned.
 """
 
 from __future__ import annotations
@@ -83,84 +86,95 @@ class InfeasibleCert:
 
 
 class _Tableau:
-    def __init__(self, a_rows: list[list[Fraction]], b: list[Fraction], n: Optional[int] = None):
-        self.a = [row[:] for row in a_rows]
-        self.b = b[:]
-        self.m = len(b)
-        self.n = len(a_rows[0]) if a_rows else (n or 0)
+    """Simplex tableau held fraction-free: the tableau is `a / d`, with
+    every entry of `a` a Python int and the common denominator `d > 0`.
+    Entry n of each row is its right-hand side.
+
+    `d` is the absolute determinant of the current basis in the integer
+    starting tableau, so every pivot's division by the old `d` is exact
+    (Edmonds 1967, Bareiss 1968) and no entry ever needs a gcd.
+    """
+
+    def __init__(self, a_rows: list[list[int]], n: int):
+        self.a = a_rows
+        self.m = len(a_rows)
+        self.n = n
+        self.d = 1
         self.basis: list[int] = []
 
     def pivot(self, row: int, col: int):
-        piv = self.a[row][col]
-        if piv == 0:
+        p = self.a[row][col]
+        if p == 0:
             raise InternalError("pivot on zero element")
-        inv = 1 / piv
-        self.a[row] = [x * inv for x in self.a[row]]
-        self.b[row] *= inv
-        for r in range(self.m):
-            if r != row and self.a[r][col] != 0:
-                f = self.a[r][col]
-                self.a[r] = [x - f * y for x, y in zip(self.a[r], self.a[row])]
-                self.b[r] -= f * self.b[row]
+        if p < 0:
+            # the pivoted tableau does not depend on the pivot row's sign;
+            # flipping it keeps d > 0
+            self.a[row] = [-x for x in self.a[row]]
+            p = -p
+        prow, d = self.a[row], self.d
+        for r, ar in enumerate(self.a):
+            if r == row:
+                continue
+            q = ar[col]
+            if q:
+                self.a[r] = [(p * x - q * y) // d for x, y in zip(ar, prow)]
+            elif p != d:
+                self.a[r] = [p * x // d for x in ar]
+        self.d = p
         self.basis[row] = col
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.n
-        for r, j in enumerate(self.basis):
-            x[j] = self.b[r]
+        for ar, j in zip(self.a, self.basis):
+            x[j] = Fraction(ar[self.n], self.d)
         return x
 
-    def minimise(self, cost: list[Fraction], banned: frozenset[int] = frozenset()) -> Fraction:
-        """Bland's-rule simplex; `banned` columns may never enter."""
+    def minimise(self, cost: list[int], banned: frozenset[int] = frozenset()) -> int:
+        """Bland's-rule simplex on integer costs; `banned` columns may never
+        enter.  Returns d times the optimum."""
         cap = math.comb(self.n + self.m, self.m) + self.m + 1
+        n, basis = self.n, self.basis
         for _ in range(cap):
-            cb = [cost[j] for j in self.basis]
-            # reduced costs z_j = c_j - cb . A_j
-            entering = -1
-            for j in range(self.n):
-                if j in banned or j in self.basis:
-                    continue
-                z = cost[j] - sum(
-                    (cb[r] * self.a[r][j] for r in range(self.m) if self.a[r][j] != 0),
-                    ZERO,
-                )
-                if z < 0:
-                    entering = j
-                    break  # Bland: smallest eligible index
+            priced = [(cost[j], ar) for j, ar in zip(basis, self.a) if cost[j]]
+            skip = banned.union(basis)
+            eligible = (j for j in range(n) if j not in skip)
+            # Bland: the smallest index with reduced cost d*c_j - cb . A_j < 0
+            entering = next((j for j in eligible if cost[j] * self.d < sum(c * ar[j] for c, ar in priced)), -1)
             if entering < 0:
-                return sum((cb[r] * self.b[r] for r in range(self.m)), ZERO)
-            leaving = -1
-            best: Optional[Fraction] = None
-            for r in range(self.m):
-                arj = self.a[r][entering]
-                if arj > 0:
-                    ratio = self.b[r] / arj
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leaving])
-                    ):
-                        best = ratio
-                        leaving = r
+                return sum(c * ar[n] for c, ar in priced)
+            leaving, lead = -1, []
+            for r, ar in enumerate(self.a):
+                arj = ar[entering]
+                # the smallest ratio b_r / a_rj, cross-multiplied, then the smallest basic index
+                if arj > 0 and (not lead or (ar[n] * lead[entering], basis[r]) < (lead[n] * arj, basis[leaving])):
+                    leaving, lead = r, ar
             if leaving < 0:
                 raise Unbounded("objective unbounded below")
             self.pivot(leaving, entering)
         raise InternalError("simplex exceeded its anti-cycling iteration cap")
 
 
+def to_integers(values: Sequence[Fraction], lcm: Optional[int] = None) -> list[int]:
+    """lcm times each value; lcm defaults to the lcm of their denominators."""
+    lcm = lcm or math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (lcm // x.denominator) for x in values]
+
+
 @dataclass
 class _Standardised:
     tableau: _Tableau
     n_struct: int  # structural columns (after bound substitution)
-    n_slack: int
     art_start: int
-    row_sign: list[Fraction]  # +1 / -1 applied to make b >= 0
+    row_sign: list[int]  # +1 / -1 applied to make b >= 0
     row_of: list[int]  # original constraint index per standard row
     decode: "callable"
-    cost: Optional[list[Fraction]]  # phase-2 cost over structural columns
+    cost: Optional[list[int]]  # phase-2 cost over structural columns, scaled to ints
 
 
 def _standardise(lp: LinearProgram) -> _Standardised:
+    """Integer starting tableau [L*A | L*S | I | L*b], with one lcm L of the
+    denominators.  One L for every row scales the artificials alike, so
+    Bland's rule pivots as it would on the unscaled rows."""
     # bound substitution: x = lo + x' (x' >= 0); free x = x+ - x-;
     # finite upper bounds become extra <= rows
     col_plus: list[int] = []
@@ -197,53 +211,32 @@ def _standardise(lp: LinearProgram) -> _Standardised:
             base += c * shift[j]
         return out, base
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    originals = [(con.coeffs, con.rel, con.rhs) for con in lp.constraints]
+    rows: list[list[Fraction]] = []  # expanded coefficients, then the right-hand side
     rels: list[str] = []
-    row_of: list[int] = []
-    for i, con in enumerate(lp.constraints):
-        out, base = expand(con.coeffs)
-        rows.append(out)
-        rhs.append(con.rhs - base)
-        rels.append(con.rel)
-        row_of.append(i)
-    for row, rel, b in extra_rows:
-        out, base = expand(row)
-        rows.append(out)
-        rhs.append(rat(b) - base)
+    for coeffs, rel, b in originals + extra_rows:
+        out, base = expand(coeffs)
+        rows.append(out + [b - base])
         rels.append(rel)
-        row_of.append(-1)  # bound row, not an original constraint
+    # bound rows map to no original constraint
+    row_of = [i if i < len(originals) else -1 for i in range(len(rows))]
 
     m = len(rows)
-    n_slack = sum(1 for rel in rels if rel != "=")
-    full_n = n_struct + n_slack
-    slack_col = {}
-    k = n_struct
-    for i, rel in enumerate(rels):
-        if rel != "=":
-            slack_col[i] = k
-            k += 1
+    slack_of = {i: k for k, i in enumerate(i for i, rel in enumerate(rels) if rel != "=")}
+    full_n = n_struct + len(slack_of)
+    lcm = math.lcm(*(x.denominator for row in rows for x in row))
     a_rows = []
     row_sign = []
-    for i in range(m):
-        row = rows[i] + [ZERO] * n_slack
-        if rels[i] == "<=":
-            row[slack_col[i]] = ONE
-        elif rels[i] == ">=":
-            row[slack_col[i]] = -ONE
-        sign = ONE
-        if rhs[i] < 0:
-            sign = -ONE
-            row = [-x for x in row]
-        a_rows.append(row)
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        *struct, b = to_integers(row, lcm)
+        slack = [0] * len(slack_of)
+        if i in slack_of:
+            slack[slack_of[i]] = lcm if rels[i] == "<=" else -lcm
+        a_rows.append([sign * x for x in struct + slack] + [0] * m + [sign * b])
+        a_rows[-1][full_n + i] = 1  # artificial columns seed the basis
         row_sign.append(sign)
-    b = [abs(x) for x in rhs]
-
-    # artificial columns seed the basis
-    for i in range(m):
-        for r in range(m):
-            a_rows[r].append(ONE if r == i else ZERO)
-    tab = _Tableau(a_rows, b, n=full_n)
+    tab = _Tableau(a_rows, n=full_n + m)
     tab.basis = list(range(full_n, full_n + m))
 
     def decode(x_std: list[Fraction]) -> list[Fraction]:
@@ -255,18 +248,15 @@ def _standardise(lp: LinearProgram) -> _Standardised:
             out.append(v)
         return out
 
-    cost = None
-    if lp.objective is not None:
-        cost, _ = expand(lp.objective)
-    return _Standardised(
-        tab, n_struct, n_slack, full_n, row_sign, row_of, decode, cost
-    )
+    cost = None if lp.objective is None else to_integers(expand(lp.objective)[0])
+    return _Standardised(tab, n_struct, full_n, row_sign, row_of, decode, cost)
 
 
-def _phase1(std: _Standardised) -> Fraction:
+def _phase1(std: _Standardised) -> int:
+    """d times the phase-1 optimum on the scaled rows: positive exactly when
+    the LP is infeasible."""
     tab = std.tableau
-    cost = [ZERO] * std.art_start + [ONE] * tab.m
-    return tab.minimise(cost)
+    return tab.minimise([0] * std.art_start + [1] * tab.m)
 
 
 def _verify_point(lp: LinearProgram, x: list[Fraction]):
@@ -305,17 +295,18 @@ def _extract_certificate(lp: LinearProgram, std: _Standardised) -> list[Fraction
     """Duals of the phase-1 optimum: y = c_B B^-1 over standard rows, then
     mapped back through row negation to the original constraints.
 
-    The artificial columns started as the identity, so they now hold B^-1,
-    and c_B is one exactly on the rows whose basic column is artificial.
+    The artificial columns started as the identity, so they now hold d
+    times B^-1, and c_B is one exactly on the rows whose basic column is
+    artificial.  Scaling every row by the one L leaves them equal to the
+    unscaled LP's duals.
     """
     tab = std.tableau
-    art_rows = [tab.a[r] for r, j in enumerate(tab.basis) if j >= std.art_start]
+    art_rows = [ar for ar, j in zip(tab.a, tab.basis) if j >= std.art_start]
     y = [ZERO] * len(lp.constraints)
-    for k in range(tab.m):
-        i = std.row_of[k]
+    for k, i in enumerate(std.row_of):
         if i >= 0:
             col = std.art_start + k
-            y[i] += std.row_sign[k] * sum((row[col] for row in art_rows), ZERO)
+            y[i] = Fraction(std.row_sign[k] * sum(row[col] for row in art_rows), tab.d)
     return y
 
 
@@ -347,13 +338,13 @@ def solve_max(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     # drive artificials out of the basis where possible; redundant rows
     # keep their artificial at level zero and simply never pivot again
     for r in range(tab.m):
-        if tab.basis[r] >= std.art_start and tab.b[r] == 0:
+        if tab.basis[r] >= std.art_start and tab.a[r][tab.n] == 0:
             for j in range(std.art_start):
                 if tab.a[r][j] != 0:
                     tab.pivot(r, j)
                     break
     banned = frozenset(range(std.art_start, tab.n))
-    cost = [-c for c in std.cost] + [ZERO] * (tab.n - std.n_struct)
+    cost = [-c for c in std.cost] + [0] * (tab.n - std.n_struct)
     tab.minimise(cost, banned)
     x = std.decode(tab.solution())
     _verify_point(lp, x)

@@ -11,12 +11,13 @@ synthesis turns into a separating hyperplane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import NotRefinementMatrix
-from .lp import Feasible, LinearProgram, _verify_certificate, solve_feasibility
+from .errors import InternalError, NotRefinementMatrix
+from .lp import Feasible, LinearProgram, solve_feasibility, to_integers
 from .matrix import RatMatrix
 from .measures import ft
 from .probcore import ONE, ZERO, FiniteDist, normalize, value_key
@@ -157,9 +158,11 @@ def independent_columns(mat_s: RatMatrix, mat_i: RatMatrix) -> list[int]:
 
     The product equation of every other column is a linear combination of
     the kept columns' equations, so the refinement LP needs only these.
+    The sweep runs fraction-free on the rows scaled to integers, which
+    leaves the columns' dependences as they are.
     """
-    stacked = mat_s.rows + mat_i.rows
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot row, reduced column)
+    stacked = [to_integers(row) for row in mat_s.rows + mat_i.rows]
+    basis: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
     kept: list[int] = []
     for h in range(mat_s.ncols):
         if len(kept) == len(stacked):
@@ -167,20 +170,42 @@ def independent_columns(mat_s: RatMatrix, mat_i: RatMatrix) -> list[int]:
         col = [row[h] for row in stacked]
         for p, b in basis:
             if col[p]:
-                f = col[p]
-                col = [x - f * y for x, y in zip(col, b)]
+                f, g = b[p], col[p]
+                col = [f * x - g * y for x, y in zip(col, b)]
         p = next((r for r, x in enumerate(col) if x), None)
         if p is not None:
-            inv = 1 / col[p]
-            basis.append((p, [x * inv for x in col]))
+            g = math.gcd(*col)
+            basis.append((p, [x // g for x in col]))
             kept.append(h)
     return kept
+
+
+def _verify_refinement_certificate(mat_s: RatMatrix, mat_i: RatMatrix, y: list):
+    """Farkas conditions of y for refinement_lp(mat_s, mat_i), read off the
+    matrices without building the LP.  With u on the column sums and z[r]
+    on row r's product equations (all equations, so y is free): y.A <= 0 is
+    u[c] + z[r] . mat_s[c] <= 0 for every R[r][c], y.b > 0 is
+    sum(u) + sum_r z[r] . mat_i[r] > 0."""
+    f_s, nh = mat_s.nrows, mat_s.ncols
+    if len(y) != f_s + mat_i.nrows * nh:
+        raise InternalError("certificate length mismatch")
+    u, zs = y[:f_s], [y[f_s + r * nh : f_s + (r + 1) * nh] for r in range(mat_i.nrows)]
+    for z in zs:
+        for uc, row_s in zip(u, mat_s.rows):
+            if uc + sum((zh * s for zh, s in zip(z, row_s) if zh), ZERO) > 0:
+                raise InternalError("certificate violates y.A <= 0")
+    gain = sum(u, ZERO) + sum(
+        (zh * t for z, row_i in zip(zs, mat_i.rows) for zh, t in zip(z, row_i) if zh), ZERO
+    )
+    if gain <= 0:
+        raise InternalError("certificate violates y.b > 0")
 
 
 def _full_certificate(cert: list, mat_s: RatMatrix, mat_i: RatMatrix, kept: list[int]) -> list:
     """Spread the certificate of the LP on the kept columns over
     refinement_lp's full layout, with zero multipliers on the dropped
-    product equations, and verify it against the full LP."""
+    product equations, and verify it against the full LP's Farkas
+    conditions."""
     f_s, f_i, nh = mat_s.nrows, mat_i.nrows, mat_s.ncols
     if len(kept) == nh:
         return cert
@@ -188,7 +213,7 @@ def _full_certificate(cert: list, mat_s: RatMatrix, mat_i: RatMatrix, kept: list
     for r in range(f_i):
         for k, h in enumerate(kept):
             full[f_s + r * nh + h] = cert[f_s + r * len(kept) + k]
-    _verify_certificate(refinement_lp(mat_s, mat_i), full)
+    _verify_refinement_certificate(mat_s, mat_i, full)
     return full
 
 

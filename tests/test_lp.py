@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hyperflow.errors import Infeasible, Unbounded
-from hyperflow.lp import Feasible, InfeasibleCert, LinearProgram, solve_feasibility, solve_max
+from hyperflow.errors import Infeasible, InternalError, Unbounded
+from hyperflow.lp import Feasible, InfeasibleCert, LinearProgram, _Tableau, solve_feasibility, solve_max
 
 
 def test_single_equality():
@@ -138,3 +138,168 @@ def test_degenerate_cycling_prone_instance_terminates():
     lp.add([F(0), F(0), F(1), F(0)], "<=", 1)
     value, _ = solve_max(lp)
     assert value == F(1, 20)
+
+
+# ---------------------------------------------------------------------------
+# The integer tableau against a Fraction reference on the same pivot path
+# ---------------------------------------------------------------------------
+
+
+def _reference(lp):
+    """Two-phase Fraction Gauss-Jordan simplex with Bland's rule on the
+    standard form the solver builds: x = lo + x' (x+ - x- when free), upper
+    bounds as extra <= rows, one slack per inequality, rows negated to
+    b >= 0, one artificial per row.  Returns (feasibility answer, max answer)."""
+    cols, k = [], 0
+    for j in range(lp.num_vars):
+        cols.append([(k, 1)] if lp.bound(j)[0] is not None else [(k, 1), (k + 1, -1)])
+        k += len(cols[-1])
+    shift = [lp.bound(j)[0] or F(0) for j in range(lp.num_vars)]
+    unit = [[F(int(i == j)) for i in range(lp.num_vars)] for j in range(lp.num_vars)]
+    rows = [(c.coeffs, c.rel, c.rhs) for c in lp.constraints]
+    rows += [(unit[j], "<=", lp.bound(j)[1]) for j in range(lp.num_vars) if lp.bound(j)[1] is not None]
+    slacks = [i for i, row in enumerate(rows) if row[1] != "="]
+    m, n = len(rows), k + len(slacks)
+
+    def expand(coeffs):
+        out = [F(0)] * k
+        for c, js in zip(coeffs, cols):
+            for col, s in js:
+                out[col] += s * c
+        return out, sum(c * t for c, t in zip(coeffs, shift))
+
+    tab, sign = [], []
+    for i, (coeffs, rel, b) in enumerate(rows):
+        a, base = expand(coeffs)
+        a += [F({"<=": 1, ">=": -1}[rel]) if i == s else F(0) for s in slacks]
+        sign.append(-1 if b - base < 0 else 1)
+        tab.append([sign[i] * x for x in a] + [F(int(i == r)) for r in range(m)] + [sign[i] * (b - base)])
+    basis = list(range(n, n + m))
+
+    def minimise(cost, banned=()):
+        while True:
+            reduced = [cost[j] - sum(cost[basis[r]] * tab[r][j] for r in range(m)) for j in range(n + m)]
+            enter = next((j for j in range(n + m) if j not in banned and j not in basis and reduced[j] < 0), None)
+            if enter is None:
+                return True
+            ratios = [(tab[r][-1] / tab[r][enter], basis[r], r) for r in range(m) if tab[r][enter] > 0]
+            if not ratios:
+                return False
+            pivot(min(ratios)[2], enter)
+
+    def pivot(r, j):
+        tab[r] = [x / tab[r][j] for x in tab[r]]
+        for i in range(m):
+            if i != r:
+                tab[i] = [x - tab[i][j] * y for x, y in zip(tab[i], tab[r])]
+        basis[r] = j
+
+    def point():
+        x_std = [F(0)] * (n + m)
+        for r, j in enumerate(basis):
+            x_std[j] = tab[r][-1]
+        return [t + sum(s * x_std[col] for col, s in js) for t, js in zip(shift, cols)]
+
+    minimise([F(0)] * n + [F(1)] * m)
+    art = [r for r in range(m) if basis[r] >= n]
+    if sum(tab[r][-1] for r in art) > 0:
+        cert = [sign[i] * sum(tab[r][n + i] for r in art) for i in range(len(lp.constraints))]
+        return ("cert", cert), "infeasible"
+    feasible = ("point", point())
+    for r in art:
+        if tab[r][-1] == 0:
+            j = next((j for j in range(n) if tab[r][j] != 0), None)
+            if j is not None:
+                pivot(r, j)
+    cost = [-c for c in expand(lp.objective)[0]] + [F(0)] * (n + m - k)
+    if not minimise(cost, banned=range(n, n + m)):
+        return feasible, "unbounded"
+    x = point()
+    return feasible, (sum(c * v for c, v in zip(lp.objective, x)), x)
+
+
+def _solver_answers(lp):
+    try:
+        result = solve_feasibility(lp)
+        feasible = ("point", result.point) if isinstance(result, Feasible) else ("cert", result.certificate)
+    except InternalError:
+        feasible = "no certificate"  # certificates need the default bounds
+    try:
+        return feasible, solve_max(lp)
+    except Infeasible:
+        return feasible, "infeasible"
+    except Unbounded:
+        return feasible, "unbounded"
+
+
+def _mixed_lp(rng):
+    """Up to 4 variables and 4 rows: '<=', '=' and '>=' rows, fractional
+    coefficients, negative right-hand sides, and in every other LP
+    variables that are boxed, free, shifted or left at x >= 0."""
+
+    def q():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+
+    n = rng.randint(1, 4)
+    bounds = None
+    if rng.random() < 0.5:
+        bounds = []
+        for _ in range(n):
+            lo = q()
+            bounds.append(rng.choice([(lo, lo + abs(q()) + 1), (None, None), (lo, None), (F(0), None)]))
+    lp = LinearProgram(n, objective=[q() for _ in range(n)], bounds=bounds)
+    for _ in range(rng.randint(1, 4)):
+        lp.add([q() if rng.random() < 0.8 else F(0) for _ in range(n)], rng.choice(["<=", "=", ">="]), q())
+    return lp
+
+
+def test_integer_tableau_follows_the_fraction_pivot_path():
+    rng = random.Random(802)
+    seen = {"point": 0, "cert": 0, "no certificate": 0, "max": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(400):
+        lp = _mixed_lp(rng)
+        feasible, best = _reference(lp)
+        got_feasible, got_best = _solver_answers(lp)
+        if feasible[0] == "cert" and not lp.all_default_bounds():
+            feasible = "no certificate"
+        assert got_feasible == feasible
+        assert got_best == best
+        seen[feasible if isinstance(feasible, str) else feasible[0]] += 1
+        seen[best if isinstance(best, str) else "max"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _watch_pivots(monkeypatch):
+    """Record each pivot element's sign and check the tableau after it."""
+    signs = []
+    real = _Tableau.pivot
+
+    def pivot(tab, row, col):
+        signs.append(tab.a[row][col] > 0)
+        real(tab, row, col)
+        assert tab.d > 0 and all(type(x) is int for ar in tab.a for x in ar)
+
+    monkeypatch.setattr(_Tableau, "pivot", pivot)
+    return signs
+
+
+def test_beale_cycling_lp_terminates_on_the_integer_tableau(monkeypatch):
+    # Beale (1955): Dantzig's rule cycles on it from the slack basis
+    signs = _watch_pivots(monkeypatch)
+    lp = LinearProgram(4, objective=[F(3, 4), F(-150), F(1, 50), F(-6)])
+    lp.add([F(1, 4), F(-60), F(-1, 25), F(9)], "<=", 0)
+    lp.add([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", 0)
+    lp.add([F(0), F(0), F(1), F(0)], "<=", 1)
+    assert solve_max(lp) == (F(1, 20), [F(1, 25), F(0), F(1), F(0)]) == _reference(lp)[1]
+    assert signs and all(signs)
+
+
+def test_negative_drive_out_pivot_keeps_the_denominator_positive(monkeypatch):
+    # phase 1 ends with the artificial of -x2/3 = 0 basic at level zero;
+    # driving it out pivots on the negative entry -1/3 (-3 on the integer row)
+    signs = _watch_pivots(monkeypatch)
+    lp = LinearProgram(2, objective=[F(1), F(-1)])
+    lp.add([0, F(-1, 3)], "=", 0)
+    lp.add([1, 0], "<=", 2)
+    assert solve_max(lp) == (F(2), [F(2), F(0)]) == _reference(lp)[1]
+    assert False in signs

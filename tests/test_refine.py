@@ -425,3 +425,96 @@ def test_independent_columns_span_the_stacked_matrix():
         for h in kept:
             assert _rank([cols[k] for k in kept if k != h]) < _rank(cols)
     assert dropped > 0
+
+
+def _fraction_independent_columns(mat_s, mat_i):
+    """The column sweep of independent_columns over Fractions, without its
+    early stop at full row rank."""
+    basis, kept = [], []
+    for h in range(mat_s.ncols):
+        col = [row[h] for row in mat_s.rows + mat_i.rows]
+        for p, b in basis:
+            f = col[p]
+            col = [x - f * y for x, y in zip(col, b)]
+        p = next((r for r, x in enumerate(col) if x), None)
+        if p is not None:
+            basis.append((p, [x / col[p] for x in col]))
+            kept.append(h)
+    return kept
+
+
+def _stacked_columns(rng):
+    """test_independent_columns_span_the_stacked_matrix's generator: hidden
+    columns spanning a random subspace of the stacked rows."""
+    f_s, f_i = rng.randint(1, 4), rng.randint(1, 4)
+    rank = rng.randint(1, f_s + f_i)
+    base = [[F(rng.randint(-3, 3)) for _ in range(f_s + f_i)] for _ in range(rank)]
+    cols = []
+    for _ in range(rng.randint(1, 10)):
+        coefs = [F(rng.randint(-2, 2)) for _ in base]
+        cols.append([sum((c * b[r] for c, b in zip(coefs, base)), F(0)) for r in range(f_s + f_i)])
+    return f_s, f_i, cols
+
+
+def test_integer_column_sweep_keeps_the_fraction_sweeps_columns():
+    from hyperflow.refine import hidden_columns, independent_columns
+
+    rng = random.Random(613)
+    for _ in range(120):
+        f_s, f_i, cols = _stacked_columns(rng)
+        # fractional entries: scale each stacked row by its own random factor
+        scale = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(f_s + f_i)]
+        rows = [[s * col[r] for col in cols] for r, s in enumerate(scale)]
+        mat_s, mat_i = RatMatrix(rows[:f_s]), RatMatrix(rows[f_s:])
+        assert independent_columns(mat_s, mat_i) == _fraction_independent_columns(mat_s, mat_i)
+    for pi_s, pi_i in presolve_pairs(614, 80):
+        h_columns = hidden_columns(pi_s, pi_i)
+        mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
+        assert independent_columns(mat_s, mat_i) == _fraction_independent_columns(mat_s, mat_i)
+
+
+def test_refinement_certificate_check_agrees_with_the_dense_lp():
+    from hyperflow.errors import InternalError
+    from hyperflow.lp import _verify_certificate
+    from hyperflow.refine import (
+        _verify_refinement_certificate,
+        check_partition_refinement,
+        hidden_columns,
+        refinement_lp,
+    )
+
+    def accepts(check, *args):
+        try:
+            check(*args)
+        except InternalError:
+            return False
+        return True
+
+    rng = random.Random(615)
+    certificates = nudged_accepted = 0
+    for pi_s, pi_i in presolve_pairs(611, 160):
+        cert = check_partition_refinement(pi_s, pi_i)[1]
+        if cert is None:
+            continue
+        certificates += 1
+        h_columns = hidden_columns(pi_s, pi_i)
+        mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
+        full = refinement_lp(mat_s, mat_i)
+        f_s, nh = mat_s.nrows, mat_s.ncols
+        # raising the multiplier of product equation (r, h) by more than
+        # sum |y| / mat_s[c][h] makes y.A positive at R[r][c]
+        r, h, c = next(
+            (r, h, c) for r in range(mat_i.nrows) for h in range(nh) for c in range(f_s) if mat_s[c, h] > 0
+        )
+        broken = list(cert)
+        broken[f_s + r * nh + h] += (1 + sum(abs(x) for x in cert)) / mat_s[c, h]
+        # a small nudge of a random product multiplier may or may not break it
+        nudged = list(cert)
+        nudged[f_s + rng.randrange(mat_i.nrows * nh)] += F(rng.randint(-3, 3), 64)
+        zero = [F(0)] * len(cert)  # y.A <= 0 holds, but y.b = 0
+        for y, valid in ((cert, True), (broken, False), (zero, False), (nudged, None)):
+            dense = accepts(_verify_certificate, full, y)
+            assert accepts(_verify_refinement_certificate, mat_s, mat_i, y) == dense
+            assert valid is None or dense is valid
+        nudged_accepted += accepts(_verify_certificate, full, nudged)
+    assert certificates >= 40 and 0 < nudged_accepted < certificates
