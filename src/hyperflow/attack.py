@@ -109,20 +109,6 @@ def separating_direction_from_certificate(
     return SeparatingDirection(x, margin, h_columns)
 
 
-def separating_direction(
-    pi_s: Partition,
-    pi_i: Partition,
-    method: str = "farkas",
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> SeparatingDirection:
-    """A hyperplane strictly separating pi_i from all refinements of pi_s."""
-    if method == "farkas":
-        return separating_direction_from_certificate(pi_s, pi_i)
-    if method == "vertices":
-        return separating_direction_by_vertices(pi_s, pi_i, vertex_cap)
-    raise ValueError(method)
-
-
 def separating_direction_by_vertices(
     pi_s: Partition, pi_i: Partition, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> SeparatingDirection:
@@ -379,6 +365,8 @@ def synthesize_and_verify(
     spec_d = desugar(spec_module)
     impl_d = desugar(impl_module)
     scope = Scope.of_module(spec_d)
+    if len(scope.hidden) != 1:
+        raise UnsupportedConstruct("attack synthesis handles one hidden variable")
     hyper_s = eval_hyper(spec_d.body, scope, init)
     hyper_i = eval_hyper(impl_d.body, Scope.of_module(impl_d), init)
     failure = check_refinement(hyper_s, hyper_i)
@@ -393,8 +381,6 @@ def synthesize_and_verify(
         direction = separating_direction_by_vertices(pi_s, pi_i, vertex_cap)
     else:
         raise ValueError(method)
-    if len(scope.hidden) != 1:
-        raise UnsupportedConstruct("attack synthesis handles one hidden variable")
     h_values = list(scope.hidden[0].domain.values)
     channel = build_attack_channel(direction, pi_s, pi_i, h_values, trigger_v=failure.v)
     context = emit_context(channel, failure.v, spec_module)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 verdict holds / success, 1 verdict fails, 2 usage or parse
-error, 3 internal error (any crash, with a one-line message).
+error (malformed argument text included), 3 internal error (any crash,
+with a one-line message).
 """
 
 from __future__ import annotations
@@ -12,24 +13,20 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import HprogSyntaxError, HyperflowError, InternalError
+from .errors import HprogSyntaxError, HyperflowError, InternalError, UsageError
 from .initspec import InitSpecError, expand_init_spec, parse_init_spec
 from .jsonio import hyper_json, module_json, vtuple_str, witness_json
 from .lang import desugar, parse, pretty_print, project_view, validate
 from .measures import (
     DEFAULT_PRECISION_BITS,
-    BAYES,
-    GENTROPY,
-    SHANNON,
+    MIN_PRECISION_BITS,
+    MeasureKind,
+    ShannonValue,
     elementary_compare,
-    bayes_vuln,
-    guessing_entropy,
-    guesswork,
-    marginal_guesswork,
-    shannon_entropy,
+    measure_value,
 )
 from .normalform import eval_via_normal_form
-from .probcore import parse_rat, rat_str
+from .probcore import rat_str
 from .refine import NotRefined, check_refinement
 from .semantics import Scope, eval as eval_hyper
 
@@ -37,9 +34,16 @@ OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _precision(args) -> int:
-    if getattr(args, "precision_bits", None):
-        return args.precision_bits
-    return int(os.environ.get("HYPERFLOW_PRECISION_BITS", DEFAULT_PRECISION_BITS))
+    bits = args.precision_bits
+    if bits is None:
+        text = os.environ.get("HYPERFLOW_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
+        try:
+            bits = int(text)
+        except ValueError:
+            raise UsageError(f"HYPERFLOW_PRECISION_BITS is not an integer: {text!r}") from None
+    if bits < MIN_PRECISION_BITS:
+        raise UsageError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}")
+    return bits
 
 
 def _load(path: str, args) -> "tuple":
@@ -69,23 +73,14 @@ def _emit(obj):
     print(json.dumps(obj, indent=2))
 
 
-def _measure_kind(text: str):
-    if text == "bayes":
-        return BAYES
-    if text == "shannon":
-        return SHANNON
-    if text == "gentropy":
-        return GENTROPY
-    if text.startswith("guesswork:"):
-        return guesswork(parse_rat(text.split(":", 1)[1]))
-    raise InitSpecError(f"unknown measure {text!r}")
-
-
-def _hidden_size(scope) -> int:
-    n = 1
-    for d in scope.hidden:
-        n *= len(d.domain.values)
-    return n
+def _elementary_kind(order: str):
+    """None for `refine`, else the measure of `elementary:MEASURE`."""
+    if order == "refine":
+        return None
+    prefix, sep, text = order.partition(":")
+    if prefix != "elementary" or not sep:
+        raise UsageError(f"unknown order {order!r}")
+    return MeasureKind.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -128,43 +123,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _, desugared, scope = _load(args.file, args)
-    kind = _measure_kind(args.measure)
+    kind = MeasureKind.parse(args.measure)
     precision = _precision(args)
+    _, desugared, scope = _load(args.file, args)
     results = []
     for s in _inits(args, scope):
-        hyper = eval_hyper(desugared.body, scope, s)
-        if kind.kind == "bayes":
-            results.append({"measure": "bayes", "value": rat_str(bayes_vuln(hyper))})
-        elif kind.kind == "shannon":
-            sv = shannon_entropy(hyper, precision)
-            results.append(
-                {
-                    "measure": "shannon",
-                    "value": sv.str_value(),
-                    "precision_bits": precision,
-                }
-            )
-        elif kind.kind == "gentropy":
-            results.append(
-                {
-                    "measure": "gentropy",
-                    "value": rat_str(guessing_entropy(hyper, _hidden_size(scope))),
-                }
-            )
+        value = measure_value(eval_hyper(desugared.body, scope, s), kind, precision)
+        entry = {"measure": kind.kind}
+        if kind.alpha is not None:
+            entry["alpha"] = rat_str(kind.alpha)
+        if isinstance(value, ShannonValue):
+            entry.update(value=value.str_value(), precision_bits=value.precision_bits)
         else:
-            results.append(
-                {
-                    "measure": "guesswork",
-                    "alpha": rat_str(kind.alpha),
-                    "value": marginal_guesswork(hyper, kind.alpha, _hidden_size(scope)),
-                }
-            )
+            entry["value"] = value if isinstance(value, int) else rat_str(value)
+        results.append(entry)
     _emit({"seed": args.seed, "results": results} if len(results) > 1 else results[0])
     return OK
 
 
 def cmd_compare(args) -> int:
+    kind = _elementary_kind(args.order)
+    precision = _precision(args)
     _, spec_d, spec_scope = _load(args.spec, args)
     _, impl_d, impl_scope = _load(args.impl, args)
     if [d.domain for d in spec_scope.visible] != [d.domain for d in impl_scope.visible] or [
@@ -173,13 +152,12 @@ def cmd_compare(args) -> int:
         print("declared state spaces differ", file=sys.stderr)
         return USAGE
     states = _inits(args, spec_scope)
-    precision = _precision(args)
     verdicts = []
     all_hold = True
     for s in states:
         hyper_s = eval_hyper(spec_d.body, spec_scope, s)
         hyper_i = eval_hyper(impl_d.body, impl_scope, s)
-        if args.order == "refine":
+        if kind is None:
             result = check_refinement(hyper_s, hyper_i)
             if isinstance(result, NotRefined):
                 all_hold = False
@@ -193,10 +171,7 @@ def cmd_compare(args) -> int:
             else:
                 verdicts.append({"verdict": "Refined", "witness": witness_json(result.per_v)})
         else:
-            kind = _measure_kind(args.order.split(":", 1)[1])
-            cv = elementary_compare(
-                hyper_s, hyper_i, kind, precision, _hidden_size(spec_scope)
-            )
+            cv = elementary_compare(hyper_s, hyper_i, kind, precision)
             all_hold = all_hold and cv.holds
             entry = {"verdict": cv.kind}
             if cv.spec_value is not None and kind.kind != "shannon":

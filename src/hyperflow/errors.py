@@ -5,6 +5,10 @@ class HyperflowError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(HyperflowError):
+    """Malformed argument text: a number, a measure, an order or a precision."""
+
+
 # -- probability core ---------------------------------------------------
 
 class NegativeWeight(HyperflowError):

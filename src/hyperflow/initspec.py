@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import HyperflowError
+from .errors import HyperflowError, UsageError
 from .probcore import FiniteDist, Value, parse_rat, vbool, vnum, vsym
 from .semantics import Scope, SplitState
 
@@ -61,7 +61,7 @@ def _parse_value(text: str, domain) -> Value:
     else:
         try:
             cand = vnum(parse_rat(text))
-        except ValueError:
+        except UsageError:
             cand = vsym(text)
     if cand in domain.values:
         return cand
@@ -84,6 +84,16 @@ def _parse_explicit(text: str, domain) -> FiniteDist:
     return dist
 
 
+def _sample_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise InitSpecError(f"sample:N needs a positive integer N, got {text.strip()!r}")
+    return count
+
+
 def parse_init_spec(text: str, scope: Scope) -> InitSpec:
     vis = {d.name: d for d in scope.visible}
     hid = {d.name: d for d in scope.hidden}
@@ -103,7 +113,7 @@ def parse_init_spec(text: str, scope: Scope) -> InitSpec:
             if rhs == "uniform":
                 priors[name] = Prior("uniform")
             elif rhs.startswith("sample:"):
-                priors[name] = Prior("sample", count=int(rhs.split(":", 1)[1]))
+                priors[name] = Prior("sample", count=_sample_count(rhs[len("sample:"):]))
             elif rhs.startswith("{"):
                 priors[name] = Prior("explicit", dist=_parse_explicit(rhs, domain))
             else:

@@ -12,10 +12,6 @@ from .probcore import rat_str
 from .semantics import HyperDist, Scope
 
 
-def value_str(v) -> str:
-    return str(v)
-
-
 def vtuple_str(vt: tuple) -> str:
     return ",".join(str(x) for x in vt)
 

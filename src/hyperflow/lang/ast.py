@@ -276,20 +276,32 @@ def walk(p: Program):
         stack += reversed(_children(q))
 
 
-def map_seq(p: Seq, f) -> Program:
-    """p with f applied to each operand along its right spine.
+def map_children(p: Program, f) -> Program:
+    """p rebuilt with f applied to each child program, in source order.
 
-    f is called in source order; the nesting and the position of every
-    Seq node on the spine are kept.
+    A Seq's operands are taken along its right spine without recursion,
+    keeping the nesting and the position of every Seq node on the spine.
+    Every other node keeps its own fields and position; a node with no
+    child program is returned as it is.
     """
-    spine = []
-    while isinstance(p, Seq):
-        spine.append((p.pos, f(p.first)))
-        p = p.second
-    out = f(p)
-    for pos, first in reversed(spine):
-        out = Seq(first, out, pos)
-    return out
+    if isinstance(p, Seq):
+        spine = []
+        while isinstance(p, Seq):
+            spine.append((p.pos, f(p.first)))
+            p = p.second
+        out = f(p)
+        for pos, first in reversed(spine):
+            out = Seq(first, out, pos)
+        return out
+    if isinstance(p, GeneralChoice):
+        return GeneralChoice(f(p.left), p.prob, f(p.right), p.pos)
+    if isinstance(p, Cond):
+        return Cond(p.guard, f(p.then_branch), f(p.else_branch), p.pos)
+    if isinstance(p, Atomic):
+        return Atomic(f(p.body), p.pos)
+    if isinstance(p, LocalBlock):
+        return LocalBlock(p.decls, f(p.body), p.pos)
+    return p
 
 
 def declarations(module: Module):

@@ -46,15 +46,7 @@ def project_view(module: A.Module, agent: Optional[str]) -> A.Module:
                 A.LocalDecl(_project_decl(ld.decl, agent), ld.init) for ld in p.decls
             )
             return A.LocalBlock(decls, walk(p.body), p.pos)
-        if isinstance(p, A.Seq):
-            return A.map_seq(p, walk)
-        if isinstance(p, A.GeneralChoice):
-            return A.GeneralChoice(walk(p.left), p.prob, walk(p.right), p.pos)
-        if isinstance(p, A.Cond):
-            return A.Cond(p.guard, walk(p.then_branch), walk(p.else_branch), p.pos)
-        if isinstance(p, A.Atomic):
-            return A.Atomic(walk(p.body), p.pos)
-        return p
+        return A.map_children(p, walk)
 
     decls = tuple(_project_decl(d, agent) for d in module.decls)
     return A.Module(decls, walk(module.body))
@@ -124,20 +116,12 @@ class _Desugarer:
             )
             fix = A.Assign(p.second, A.Binop("xor", A.Name(p.first), p.expr), p.pos)
             return A.Seq(flip, fix, p.pos)
-        if isinstance(p, A.Seq):
-            return A.map_seq(p, lambda q: self.walk(q, decls))
-        if isinstance(p, A.GeneralChoice):
-            return A.GeneralChoice(self.walk(p.left, decls), p.prob, self.walk(p.right, decls), p.pos)
-        if isinstance(p, A.Cond):
-            return A.Cond(p.guard, self.walk(p.then_branch, decls), self.walk(p.else_branch, decls), p.pos)
-        if isinstance(p, A.Atomic):
-            return A.Atomic(self.walk(p.body, decls), p.pos)
         if isinstance(p, A.LocalBlock):
             inner = dict(decls)
             for ld in p.decls:
                 inner[ld.decl.name] = ld.decl
             return A.LocalBlock(p.decls, self.walk(p.body, inner), p.pos)
-        return p
+        return A.map_children(p, lambda q: self.walk(q, decls))
 
 
 def desugar(module: A.Module) -> A.Module:

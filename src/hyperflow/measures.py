@@ -16,11 +16,12 @@ from typing import Optional
 
 import mpmath
 
-from .errors import DomainMismatch
-from .probcore import ONE, ZERO, FiniteDist, rat
+from .errors import DomainMismatch, UsageError
+from .probcore import ONE, ZERO, FiniteDist, parse_rat, rat
 from .semantics import HyperDist
 
 DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,24 @@ class MeasureKind:
                 raise ValueError("guesswork needs alpha in (0,1]")
         elif self.alpha is not None:
             raise ValueError("alpha only applies to guesswork")
+
+    @classmethod
+    def parse(cls, text: str) -> "MeasureKind":
+        """The measure named by `bayes`, `shannon`, `gentropy` or
+        `guesswork:ALPHA`, with ALPHA a rational "n" or "n/d" in (0,1].
+
+        This reads the CLI's `--measure` and the part of `--order` after
+        `elementary:`; malformed text raises `UsageError`.
+        """
+        name, sep, alpha = text.partition(":")
+        if name == "guesswork" and sep:
+            q = parse_rat(alpha)
+            if not 0 < q <= 1:
+                raise UsageError(f"guesswork needs alpha in (0,1], got {alpha!r}")
+            return cls(name, q)
+        if name in ("bayes", "shannon", "gentropy") and not sep:
+            return cls(name)
+        raise UsageError(f"unknown measure {text!r}")
 
 
 BAYES = MeasureKind("bayes")
@@ -110,8 +129,10 @@ def _shannon(pairs, precision: int) -> ShannonValue:
     Floating-point sums depend on their order, so callers pass the pairs
     and the probabilities in a canonical order.
     """
-    if precision < 64:
-        raise ValueError(f"entropy precision must be at least 64 bits, got {precision}")
+    if precision < MIN_PRECISION_BITS:
+        raise ValueError(
+            f"entropy precision must be at least {MIN_PRECISION_BITS} bits, got {precision}"
+        )
     with mpmath.workprec(precision + 32):
         total = mpmath.mpf(0)
         for outer_w, dist_pairs in pairs:
@@ -186,6 +207,27 @@ def marginal_guesswork(hyper: HyperDist, alpha, n_hidden: Optional[int] = None) 
     raise AssertionError("unreachable: i = n always reaches probability 1")
 
 
+def measure_value(
+    hyper: HyperDist,
+    measure: MeasureKind,
+    precision: int = DEFAULT_PRECISION_BITS,
+    n_hidden: Optional[int] = None,
+):
+    """The measure of one hyper-distribution, the only place a
+    `MeasureKind` becomes a value: Bayes vulnerability and guessing
+    entropy as a Fraction, Shannon entropy as a `ShannonValue` at
+    `precision` bits, marginal guesswork at `measure.alpha` as an int.
+    `n_hidden` is passed on to the guessing measures.
+    """
+    if measure.kind == "bayes":
+        return bayes_vuln(hyper)
+    if measure.kind == "shannon":
+        return shannon_entropy(hyper, precision)
+    if measure.kind == "gentropy":
+        return guessing_entropy(hyper, n_hidden)
+    return marginal_guesswork(hyper, measure.alpha, n_hidden)
+
+
 # ---------------------------------------------------------------------------
 # Elementary testing orders
 # ---------------------------------------------------------------------------
@@ -224,27 +266,21 @@ def elementary_compare(
         raise DomainMismatch("hyper-distributions have different state shapes")
     if ft(spec) != ft(impl):
         return CompareVerdict("FailsFunctional")
-    if measure.kind == "bayes":
-        sv, iv = bayes_vuln(spec), bayes_vuln(impl)
-        return CompareVerdict("Holds" if iv <= sv else "FailsMeasure", sv, iv)
-    if measure.kind == "gentropy":
-        sv, iv = guessing_entropy(spec, n_hidden), guessing_entropy(impl, n_hidden)
-        return CompareVerdict("Holds" if iv >= sv else "FailsMeasure", sv, iv)
-    if measure.kind == "guesswork":
-        sv = marginal_guesswork(spec, measure.alpha, n_hidden)
-        iv = marginal_guesswork(impl, measure.alpha, n_hidden)
-        return CompareVerdict("Holds" if iv >= sv else "FailsMeasure", sv, iv)
-    # Shannon: identical hypers hold by reflexivity; otherwise compare the
-    # rigorous enclosures and refuse to guess when they overlap
-    if spec == impl:
-        return CompareVerdict("Holds")
-    sv = shannon_entropy(spec, precision)
-    iv = shannon_entropy(impl, precision)
-    if iv.lo >= sv.hi:
-        return CompareVerdict("Holds", sv, iv)
-    if iv.hi < sv.lo:
-        return CompareVerdict("FailsMeasure", sv, iv)
-    return CompareVerdict("ToleranceInconclusive", sv, iv)
+    shannon = measure.kind == "shannon"
+    if shannon and spec == impl:
+        return CompareVerdict("Holds")  # reflexivity, without the inexact values
+    sv = measure_value(spec, measure, precision, n_hidden)
+    iv = measure_value(impl, measure, precision, n_hidden)
+    if shannon:
+        # compare the rigorous enclosures and refuse to guess when they overlap
+        if iv.lo >= sv.hi:
+            return CompareVerdict("Holds", sv, iv)
+        if iv.hi < sv.lo:
+            return CompareVerdict("FailsMeasure", sv, iv)
+        return CompareVerdict("ToleranceInconclusive", sv, iv)
+    # Bayes vulnerability must not rise; the uncertainty measures must not fall
+    holds = iv <= sv if measure.kind == "bayes" else iv >= sv
+    return CompareVerdict("Holds" if holds else "FailsMeasure", sv, iv)
 
 
 def brute_force_guess_count(delta_probs: list[Fraction]) -> Fraction:

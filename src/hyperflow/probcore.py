@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import NegativeWeight, WeightOverflow, ZeroCondition, ZeroWeight
+from .errors import NegativeWeight, UsageError, WeightOverflow, ZeroCondition, ZeroWeight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,11 +36,12 @@ def rat_str(q: Fraction) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Read "n" or "n/d"; malformed text or d = 0 raises `UsageError`."""
+    num, sep, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if sep else 1)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a rational number: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ def _p_init():
     return (vnum(0),), FiniteDist.point((vnum(1),))
 
 
-def _hyper(pairs) -> HyperDist:
-    return HyperDist(pairs)
-
-
 def _split(v, dpairs) -> SplitState:
     return SplitState(v, FiniteDist(dpairs))
 
@@ -92,16 +88,16 @@ def run_selftest(corpus_dir: Path, report=print) -> bool:
     def threebox(name):
         return _eval_corpus(corpus_dir, name, *_threebox_init())
 
-    expected_s = _hyper(
+    expected_s = HyperDist(
         [
             (_split(bot, [(h1(1), F(1, 3)), (h1(2), F(2, 3))]), F(1, 2)),
             (_split(bot, [(h1(0), F(2, 3)), (h1(1), F(1, 3))]), F(1, 2)),
         ]
     )
-    expected_i1 = _hyper(
+    expected_i1 = HyperDist(
         [(_split(bot, [(h1(0), F(1, 3)), (h1(1), F(1, 3)), (h1(2), F(1, 3))]), F(1))]
     )
-    expected_i2 = _hyper(
+    expected_i2 = HyperDist(
         [
             (_split(bot, [(h1(2), F(1))]), F(1, 3)),
             (_split(bot, [(h1(0), F(1, 2)), (h1(1), F(1, 2))]), F(2, 3)),
@@ -137,7 +133,7 @@ def run_selftest(corpus_dir: Path, report=print) -> bool:
         d0 = FiniteDist.uniform([(vnum(F(1, 4)),), (vnum(F(1, 2)),)])
         return eval_hyper(m.body, Scope.of_module(m), SplitState((vnum(0),), d0))
 
-    expected_ghost = _hyper(
+    expected_ghost = HyperDist(
         [
             (
                 _split((vnum(0),), [((vnum(F(1, 4)),), F(1, 3)), ((vnum(F(1, 2)),), F(2, 3))]),
@@ -268,13 +264,13 @@ def run_selftest(corpus_dir: Path, report=print) -> bool:
 
     def guesswork_pair():
         v = (vnum(0),)
-        ds = _hyper(
+        ds = HyperDist(
             [
                 (_split(v, [(h1(0), F(1))]), F(1, 2)),
                 (_split(v, [(h1(k), F(1, 4)) for k in (1, 2, 3, 4)]), F(1, 2)),
             ]
         )
-        di = _hyper(
+        di = HyperDist(
             [
                 (
                     _split(
@@ -312,7 +308,7 @@ def run_selftest(corpus_dir: Path, report=print) -> bool:
             Scope.of_module(m),
             SplitState((vnum(0),), FiniteDist.uniform([h1(0), h1(1)])),
         )
-        want = _hyper(
+        want = HyperDist(
             [
                 (_split((vnum(0),), [(h1(0), F(1))]), F(1, 2)),
                 (_split((vnum(0),), [(h1(1), F(1))]), F(1, 2)),
@@ -330,7 +326,7 @@ def run_selftest(corpus_dir: Path, report=print) -> bool:
             Scope.of_module(m),
             SplitState((vnum(1),), FiniteDist.uniform([h1(0), h1(1)])),
         )
-        want = _hyper(
+        want = HyperDist(
             [(_split((vnum(0),), [(h1(0), F(1, 2)), (h1(1), F(1, 2))]), F(1))]
         )
         return out == want

@@ -102,39 +102,20 @@ class SplitState:
         return f"({','.join(map(str, self.v)) or '()'}, {self.delta!r})"
 
 
-class HyperDist:
-    """Canonical outer distribution over split-states (weight exactly 1).
+class HyperDist(FiniteDist):
+    """A hyper-distribution: a full `FiniteDist` over split-states.
 
-    Iterating yields (split-state, weight) pairs unordered; `items()` and
-    `repr` give them in the canonical order of `SplitState.key`.
+    Only the weight-1 check, the `Hyper{..}` repr and `visible_values` are
+    its own; iteration, equality, hashing and `items()` (in the canonical
+    order of `SplitState.key`) are the distribution's.
     """
 
-    __slots__ = ("outer",)
+    __slots__ = ()
 
     def __init__(self, pairs: Iterable[tuple[SplitState, Fraction]]):
-        outer = FiniteDist(pairs)
-        if not outer.is_full:
-            raise EvalError(f"hyper-distribution has outer weight {outer.weight} != 1")
-        self.outer = outer
-
-    @classmethod
-    def point(cls, s: SplitState) -> "HyperDist":
-        return cls([(s, ONE)])
-
-    def items(self):
-        return self.outer.items()
-
-    def __iter__(self):
-        return iter(self.outer)
-
-    def __len__(self):
-        return len(self.outer)
-
-    def __eq__(self, other):
-        return isinstance(other, HyperDist) and self.outer == other.outer
-
-    def __hash__(self):
-        return hash(self.outer)
+        super().__init__(pairs)
+        if not self.is_full:
+            raise EvalError(f"hyper-distribution has outer weight {self.weight} != 1")
 
     def __repr__(self):
         return "Hyper{" + ", ".join(f"{s!r}@{rat_str(w)}" for s, w in self.items()) + "}"

@@ -14,7 +14,7 @@ from hyperflow.attack import (
     synthesize_and_verify,
     verify_attack,
 )
-from hyperflow.errors import NotSeparable, PreconditionViolated
+from hyperflow.errors import NotSeparable, PreconditionViolated, UnsupportedConstruct
 from hyperflow.lang import ast as A
 from hyperflow.lang import desugar, parse, parse_program, pretty_print
 from hyperflow.matrix import RatMatrix
@@ -161,6 +161,15 @@ def test_synthesize_precondition_guard():
         synthesize_and_verify(load("P2"), load("P4"), p_init())
     with pytest.raises(PreconditionViolated):
         synthesize_and_verify(load("P2"), load("P2"), p_init())
+
+
+def test_synthesis_rejects_two_hidden_variables_before_evaluating():
+    # spec refines impl here, so a late check would report the precondition
+    m = parse("vis v : {0..1}; hid h : {0..1}; hid k : {0..1}; v := h")
+    hidden = [(vnum(a), vnum(b)) for a in (0, 1) for b in (0, 1)]
+    init = SplitState((vnum(0),), FiniteDist.uniform(hidden))
+    with pytest.raises(UnsupportedConstruct):
+        synthesize_and_verify(m, m, init)
 
 
 def test_attack_context_reparses_to_same_vulnerabilities():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conftest import CORPUS
 from hyperflow.cli import run
 
@@ -283,3 +285,80 @@ def test_long_sequence_evaluates(tmp_path, capsys):
     code, out, err = invoke(capsys, "eval", str(long), "--init", "v=0; h~uniform")
     assert code == 0 and err == ""
     assert out == invoke(capsys, "eval", str(short), "--init", "v=0; h~uniform")[1]
+
+
+def test_measure_gentropy(capsys):
+    code, out, _ = invoke(
+        capsys,
+        "measure",
+        str(CORPUS / "threebox_S.hprog"),
+        "--measure",
+        "gentropy",
+        "--init",
+        "v=bot; h~uniform",
+    )
+    assert code == 0 and out == json.dumps({"measure": "gentropy", "value": "4/3"}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "order, value", [("elementary:gentropy", "7/6"), ("elementary:guesswork:1/2", "1")]
+)
+def test_compare_guessing_orders(capsys, order, value):
+    code, out, _ = invoke(
+        capsys,
+        "compare",
+        str(CORPUS / "P4.hprog"),
+        str(CORPUS / "P2.hprog"),
+        "--order",
+        order,
+        "--init",
+        "v=0; h~uniform",
+    )
+    (point,) = json.loads(out)["points"]
+    assert code == 0 and point == {"verdict": "Holds", "spec_value": value, "impl_value": value}
+
+
+_EVAL_P4 = ("eval", str(CORPUS / "P4.hprog"), "--init")
+_MEASURE_S = ("measure", str(CORPUS / "threebox_S.hprog"), "--init", "v=bot; h~uniform", "--measure")
+_COMPARE = ("compare", str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog"), "--init", "v=0; h~uniform", "--order")
+
+
+@pytest.mark.parametrize(
+    "argv, precision_env",
+    [
+        (_EVAL_P4 + ("v=0; h~sample:0",), None),
+        (_EVAL_P4 + ("v=0; h~sample:-1",), None),
+        (_EVAL_P4 + ("v=0; h~sample:abc",), None),
+        (_EVAL_P4 + ("v=0; h~{1@1/0}",), None),
+        (_EVAL_P4 + ("v=0; h~{1@x}",), None),
+        (("--precision-bits", "10") + _MEASURE_S + ("shannon",), None),
+        (_MEASURE_S + ("shannon",), "abc"),
+        (_MEASURE_S + ("guesswork:0",), None),
+        (_MEASURE_S + ("guesswork:abc",), None),
+        (_MEASURE_S + ("guesswork:1/0",), None),
+        (_COMPARE + ("bogus",), None),
+        (_COMPARE + ("elementary",), None),
+        (_COMPARE + ("elementary:guesswork:2",), None),
+    ],
+    ids=[
+        "sample:0",
+        "sample:-1",
+        "sample:abc",
+        "prior-1/0",
+        "prior-x",
+        "precision-bits-10",
+        "precision-env-abc",
+        "guesswork:0",
+        "guesswork:abc",
+        "guesswork:1/0",
+        "order-bogus",
+        "order-elementary",
+        "order-guesswork:2",
+    ],
+)
+def test_malformed_argument_text_is_a_usage_error(capsys, monkeypatch, argv, precision_env):
+    if precision_env is not None:
+        monkeypatch.setenv("HYPERFLOW_PRECISION_BITS", precision_env)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,45 @@
+"""Source hygiene: no top-level helper in the package goes unused."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hyperflow"
+
+
+def _searched_texts() -> dict:
+    paths = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "tests").rglob("*.py")),
+        *sorted((ROOT / "perfbench").rglob("*.py")),
+        ROOT / "pyproject.toml",
+    ]
+    return {p: p.read_text() for p in paths}
+
+
+def _top_level_definitions():
+    """(dotted name, name, path, first line, last line) of every top-level
+    function and class of the package, decorators included."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield f"{module}.{node.name}", node.name, path, first, node.end_lineno
+
+
+def _words(text: str) -> Counter:
+    return Counter(re.findall(r"\w+", text))
+
+
+def test_every_top_level_definition_is_referenced():
+    texts = _searched_texts()
+    words = sum((_words(t) for t in texts.values()), Counter())
+    unused = []
+    for dotted, name, path, first, last in _top_level_definitions():
+        own = "".join(texts[path].splitlines(keepends=True)[first - 1 : last])
+        if words[name] == _words(own)[name]:
+            unused.append(dotted)
+    assert unused == []

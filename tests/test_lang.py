@@ -212,6 +212,35 @@ def test_desugar_fresh_names_avoid_collisions():
     assert d.body.decls[0].decl.name != "reveal_1"
 
 
+def _positions(body):
+    return [(type(q).__name__, q.pos) for q in A.walk(body)]
+
+
+def _parsed_with_local_blocks(n):
+    """n printed-and-reparsed random programs that contain a local block."""
+    rng = random.Random(23)
+    while n:
+        body = rand_program(rng, depth=4)
+        if has_construct(body, (A.LocalBlock,)):
+            n -= 1
+            yield parse(pretty_print(small_scope_module(body)))
+
+
+def test_rewrites_keep_node_positions():
+    # validation of a projected view reports the positions these carry
+    corpus = [load(f.stem) for f in sorted(CORPUS.glob("*.hprog"))]
+    for m in corpus + list(_parsed_with_local_blocks(100)):
+        before = _positions(m.body)
+        assert all(pos is not None for kind, pos in before if kind != "Seq")
+        for agent in sorted(agents_of(m)) + [None]:
+            assert _positions(project_view(m, agent).body) == before
+        d = desugar(m)
+        if not has_construct(m.body, (A.Reveal, A.XorAssign)):
+            assert _positions(d.body) == before
+        # an expanded xor-assignment is a Seq that carries a position
+        assert _positions(project_view(d, None).body) == _positions(d.body)
+
+
 _LONG_STATEMENTS = [
     "v := (v + 1) mod 2",
     "h <- uniform{h, (h + 1) mod 3}",
