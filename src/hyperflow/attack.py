@@ -30,7 +30,6 @@ from .errors import (
     VertexBudgetExceeded,
 )
 from .lang import ast as A
-from .lang.transform import desugar
 from .lp import LinearProgram, solve_max
 from .matrix import RatMatrix
 from .measures import bayes_vuln
@@ -42,7 +41,7 @@ from .refine import (
     check_refinement,
     hidden_columns,
 )
-from .semantics import Scope, SplitState, eval as eval_hyper
+from .semantics import Scope, SplitState, eval_module
 
 DEFAULT_VERTEX_CAP = 2 ** 20
 
@@ -171,7 +170,7 @@ def _fresh_values(domain_values, count: int) -> list[Value]:
     out: list[Value] = []
     k = 0
     while len(out) < count:
-        cand = vnum(-k) if k else vnum(0)
+        cand = vnum(-k)
         if cand not in domain_values and cand not in out:
             out.append(cand)
         k += 1
@@ -225,8 +224,6 @@ def build_attack_channel(
 
     # target values: reuse the declared hidden domain order, extend if the
     # partition has more fractions than the domain has values
-    if any(len(h) != 1 for h in d0):
-        raise UnsupportedConstruct("attack synthesis handles one hidden variable")
     base_values = [h[0] for h in _h_tuples(h_domain_values)]
     target_values = list(base_values[:f_i])
     if f_i > len(base_values):
@@ -362,14 +359,10 @@ def synthesize_and_verify(
 ) -> AttackReport:
     """Build a distinguishing context for a refinement failure and verify
     the Bayes-vulnerability gap end-to-end on the composed programs."""
-    spec_d = desugar(spec_module)
-    impl_d = desugar(impl_module)
-    scope = Scope.of_module(spec_d)
+    scope = Scope.of_module(spec_module)
     if len(scope.hidden) != 1:
         raise UnsupportedConstruct("attack synthesis handles one hidden variable")
-    hyper_s = eval_hyper(spec_d.body, scope, init)
-    hyper_i = eval_hyper(impl_d.body, Scope.of_module(impl_d), init)
-    failure = check_refinement(hyper_s, hyper_i)
+    failure = check_refinement(eval_module(spec_module, init), eval_module(impl_module, init))
     if not isinstance(failure, NotRefined) or failure.functional_mismatch:
         raise PreconditionViolated(
             "attack synthesis needs a NotRefined verdict with functional equality"
@@ -396,11 +389,8 @@ def verify_attack(
     init: SplitState,
 ) -> AttackReport:
     """Evaluate spec;C and impl;C and report the exact vulnerabilities."""
-    composed_s = desugar(compose(spec_module, context))
-    composed_i = desugar(compose(impl_module, context))
-    scope = Scope.of_module(composed_s)
-    bv_s = bayes_vuln(eval_hyper(composed_s.body, scope, init))
-    bv_i = bayes_vuln(eval_hyper(composed_i.body, Scope.of_module(composed_i), init))
+    bv_s = bayes_vuln(eval_module(compose(spec_module, context), init))
+    bv_i = bayes_vuln(eval_module(compose(impl_module, context), init))
     return AttackReport(
         context=context,
         trigger_v=trigger_v,

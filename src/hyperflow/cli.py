@@ -8,6 +8,7 @@ with a one-line message).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -114,12 +115,25 @@ def cmd_eval(args) -> int:
     payload = {"seed": args.seed, "results": out} if len(out) > 1 else out[0]
     if args.json:
         _emit(payload)
-    else:
-        for entry in out:
-            for row in entry["hyper"]:
-                delta = ", ".join(f"{d['h']}@{d['p']}" for d in row["delta"])
-                print(f"p={row['p']}  v={row['v']}  delta=[{delta}]")
+        return OK
+    for i, entry in enumerate(out, 1):
+        if len(out) > 1:
+            print(f"result {i} of {len(out)}:")
+        for row in entry["hyper"]:
+            delta = ", ".join(_state_text(d["h"], d["p"]) for d in row["delta"])
+            parts = [f"p={row['p']}", _pairs(row["v"]), f"delta=[{delta}]"]
+            print("  ".join(part for part in parts if part))
     return OK
+
+
+def _pairs(named: dict) -> str:
+    return ", ".join(f"{name}={value}" for name, value in named.items())
+
+
+def _state_text(named: dict, p: str) -> str:
+    """`h=0@2/3`; a tuple of other than one variable is parenthesised."""
+    text = _pairs(named)
+    return f"{text}@{p}" if len(named) == 1 else f"({text})@{p}"
 
 
 def cmd_measure(args) -> int:
@@ -261,7 +275,10 @@ def _add_common(sp, init=True):
         sp.add_argument("--seed", type=int, default=0, help="seed for sampled priors")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing returns a
+    fresh namespace and leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
         prog="hyperflow",
         description="Exact analysis of probabilistic noninterference programs",

@@ -2,7 +2,7 @@ from . import ast
 from .parser import parse, parse_program
 from .printer import pretty_print, print_expr, print_program
 from .transform import agents_of, desugar, project_view
-from .validate import Diagnostic, validate, validate_strict
+from .validate import Diagnostic, validate
 
 __all__ = [
     "ast",
@@ -15,6 +15,5 @@ __all__ = [
     "agents_of",
     "desugar",
     "validate",
-    "validate_strict",
     "Diagnostic",
 ]

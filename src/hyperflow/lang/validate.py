@@ -316,9 +316,3 @@ def validate(module: A.Module, allow_uniform_init: bool = False) -> list[Diagnos
     """All diagnostics for the module; empty means well-formed."""
     return _Checker(module, allow_uniform_init).run()
 
-
-def validate_strict(module: A.Module, allow_uniform_init: bool = False) -> None:
-    """Raise ValueError listing diagnostics if any error-severity one exists."""
-    diags = [d for d in validate(module, allow_uniform_init) if d.severity == "error"]
-    if diags:
-        raise ValueError("; ".join(str(d) for d in diags))

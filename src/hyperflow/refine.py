@@ -110,7 +110,6 @@ class NotRefined:
     certificate: Optional[list] = None  # Farkas certificate of the failing LP
     pi_s: Optional[Partition] = None
     pi_i: Optional[Partition] = None
-    h_columns: Optional[list] = None
 
 
 def refinement_lp(mat_s: RatMatrix, mat_i: RatMatrix) -> LinearProgram:
@@ -280,7 +279,6 @@ def check_refinement(
                 certificate=cert,
                 pi_s=pi_s,
                 pi_i=pi_i,
-                h_columns=hidden_columns(pi_s, pi_i),
             )
         per_v[v] = witness
     return RefinementWitness(per_v)

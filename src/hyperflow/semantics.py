@@ -25,6 +25,7 @@ from typing import Iterable
 
 from .errors import DistNotOneSumming, EvalError, UnsupportedConstruct
 from .lang import ast as A
+from .lang.transform import desugar
 from .probcore import (
     ONE,
     ZERO,
@@ -437,11 +438,11 @@ def eval(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
 
 
 def eval_module(module: A.Module, s: SplitState) -> HyperDist:
-    from .lang.transform import desugar
-
+    """The hyper-distribution of a parsed module from s: desugar, take the
+    scope of its declarations, evaluate.  The one entry for evaluating a
+    whole module; agent views are projected before it."""
     desugared = desugar(module)
-    scope = Scope.of_module(desugared)
-    return eval(desugared.body, scope, s)
+    return eval(desugared.body, Scope.of_module(desugared), s)
 
 
 def _then(hyper: HyperDist, p, scope: Scope, consts) -> HyperDist:

@@ -1,10 +1,12 @@
 """Command-line surface: exit codes and machine-readable output."""
 
 import json
+import shutil
 
 import pytest
 
 from conftest import CORPUS
+from hyperflow import cli
 from hyperflow.cli import run
 
 
@@ -362,3 +364,60 @@ def test_malformed_argument_text_is_a_usage_error(capsys, monkeypatch, argv, pre
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_S, _ENC = str(CORPUS / "threebox_S.hprog"), str(CORPUS / "encryption_lemma.hprog")
+_P4, _P2 = str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog")
+_JUDGES = str(CORPUS / "three_judges_fig2.hprog")
+# pairs of commands that differ in one option
+_ALTERNATING = [
+    ("view", _JUDGES, "--agent", "A"),
+    ("view", _JUDGES),
+    ("eval", _ENC, "--init", "e~sample:2", "--seed", "5", "--json"),
+    ("eval", _ENC, "--init", "e~sample:2", "--json"),
+    ("--precision-bits", "96", "measure", _S, "--init", "v=bot; h~uniform", "--measure", "shannon"),
+    ("measure", _S, "--init", "v=bot; h~uniform", "--measure", "shannon"),
+    ("compare", _P4, _P2, "--order", "elementary:bayes", "--init", "v=0; h~uniform"),
+    ("compare", _P4, _P2, "--order", "refine", "--init", "v=0; h~uniform"),
+]
+
+
+def test_parser_built_once_answers_like_a_fresh_parser(capsys, monkeypatch):
+    monkeypatch.delenv("HYPERFLOW_PRECISION_BITS", raising=False)
+    argvs = _ALTERNATING * 2
+    once = [invoke(capsys, *argv)[:2] for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    assert all(once[i] != once[i + 1] for i in range(0, len(_ALTERNATING), 2))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [invoke(capsys, *argv)[:2] for argv in argvs]
+    assert once == fresh
+
+
+def test_eval_text_prints_name_value_pairs(capsys):
+    code, out, _ = invoke(capsys, "eval", _S, "--init", "v=bot; h~uniform")
+    assert (code, out) == (
+        0,
+        "p=1/2  v=bot  delta=[h=0@2/3, h=1@1/3]\np=1/2  v=bot  delta=[h=1@1/3, h=2@2/3]\n",
+    )
+    judges_a = ("eval", _JUDGES, "--agent", "A", "--init", "a=true; b~true; c~false")
+    code, out, _ = invoke(capsys, *judges_a)
+    assert (code, out) == (0, "p=1/1  a=true  delta=[(b=true, c=false)@1/1]\n")
+    # each sampled prior's result is headed; the block hides nothing of e's prior
+    sampled = ("eval", _ENC, "--init", "e~sample:2", "--seed", "3")
+    code, out, _ = invoke(capsys, *sampled)
+    priors = json.loads(invoke(capsys, *sampled, "--json")[1])
+    lines = [
+        f"p=1/1  delta=[e={d[0]['h']['e']}@{d[0]['p']}, e={d[1]['h']['e']}@{d[1]['p']}]"
+        for d in (r["hyper"][0]["delta"] for r in priors["results"])
+    ]
+    assert (code, out.splitlines()) == (0, ["result 1 of 2:", lines[0], "result 2 of 2:", lines[1]])
+
+
+def test_selftest_fails_on_a_broken_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    s = corpus / "threebox_S.hprog"
+    s.write_text(s.read_text().replace("h <- uniform{0, 1, 2}", "h <- uniform{0, 1}"))
+    assert "uniform{0, 1};" in s.read_text()
+    code, out, _ = invoke(capsys, "selftest", "--corpus", str(corpus))
+    assert code == 1 and "FAIL" in out

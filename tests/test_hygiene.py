@@ -9,6 +9,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hyperflow"
 
 
+def _without_reexports(text: str) -> str:
+    """A package `__init__.py` with its imports and `__all__` blanked out, line
+    numbers kept: re-exporting a name is not a use of it."""
+    lines = text.splitlines(keepends=True)
+    for node in ast.parse(text).body:
+        names_all = isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        )
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or names_all:
+            for i in range(node.lineno - 1, node.end_lineno):
+                lines[i] = "\n"
+    return "".join(lines)
+
+
 def _searched_texts() -> dict:
     paths = [
         *sorted((ROOT / "src").rglob("*.py")),
@@ -16,7 +30,8 @@ def _searched_texts() -> dict:
         *sorted((ROOT / "perfbench").rglob("*.py")),
         ROOT / "pyproject.toml",
     ]
-    return {p: p.read_text() for p in paths}
+    texts = {p: p.read_text() for p in paths}
+    return {p: _without_reexports(t) if p.name == "__init__.py" else t for p, t in texts.items()}
 
 
 def _top_level_definitions():
