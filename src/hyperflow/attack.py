@@ -33,7 +33,7 @@ from .lang import ast as A
 from .lp import LinearProgram, solve_max
 from .matrix import RatMatrix
 from .measures import bayes_vuln
-from .probcore import ONE, ZERO, Value, value_key, vnum
+from .probcore import ONE, ZERO, Domain, Value, value_key, vnum
 from .refine import (
     NotRefined,
     Partition,
@@ -311,8 +311,6 @@ def emit_context(
     decls = []
     for d in module.decls:
         if d.name == hdecl.name:
-            from .probcore import Domain
-
             decls.append(A.VarDecl(d.name, Domain(d.name, tuple(extended)), d.visibility))
         else:
             decls.append(d)

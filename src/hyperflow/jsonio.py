@@ -97,7 +97,7 @@ def program_json(p: A.Program):
             "expr": expr_json(p.expr),
         }
     if isinstance(p, A.Seq):
-        return {"kind": "seq", "first": program_json(p.first), "second": program_json(p.second)}
+        return {"kind": "seq", "statements": [program_json(q) for q in p.stmts]}
     if isinstance(p, A.GeneralChoice):
         return {
             "kind": "general_choice",

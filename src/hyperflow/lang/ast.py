@@ -170,11 +170,23 @@ class XorAssign(Program):
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seq(Program):
-    first: Program
-    second: Program
+    """Two or more statements run in order; none of them is a Seq.
+
+    Sequential composition is associative, so the constructor flattens
+    Seq arguments: Seq(Seq(a, b), c) == Seq(a, Seq(b, c)) == Seq(a, b, c).
+    """
+
+    stmts: tuple[Program, ...]
     pos: Optional[Pos] = _pos_field()
+
+    def __init__(self, *stmts: Program, pos: Optional[Pos] = None):
+        flat = tuple(q for p in stmts for q in (p.stmts if isinstance(p, Seq) else (p,)))
+        if len(flat) < 2:
+            raise ValueError("a sequence needs at least two statements")
+        object.__setattr__(self, "stmts", flat)
+        object.__setattr__(self, "pos", pos)
 
 
 @dataclass(frozen=True)
@@ -231,33 +243,14 @@ class Module:
         return {d.name: d for d in self.decls}
 
 
-def seq_of(*programs: Program) -> Program:
-    """Right-fold statements into nested Seq (identity for one statement)."""
-    if not programs:
-        return Skip()
-    out = programs[-1]
-    for p in reversed(programs[:-1]):
-        out = Seq(p, out)
-    return out
-
-
-def statements(p: Program):
-    """The statements of a sequence, left to right, without recursion.
-
-    Sequential composition is associative, so nesting does not matter.
-    """
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, Seq):
-            stack += (q.second, q.first)
-        else:
-            yield q
+def statements(p: Program) -> tuple[Program, ...]:
+    """The statements of a sequence, left to right; (p,) for any other p."""
+    return p.stmts if isinstance(p, Seq) else (p,)
 
 
 def _children(p: Program) -> tuple[Program, ...]:
     if isinstance(p, Seq):
-        return p.first, p.second
+        return p.stmts
     if isinstance(p, GeneralChoice):
         return p.left, p.right
     if isinstance(p, Cond):
@@ -279,20 +272,11 @@ def walk(p: Program):
 def map_children(p: Program, f) -> Program:
     """p rebuilt with f applied to each child program, in source order.
 
-    A Seq's operands are taken along its right spine without recursion,
-    keeping the nesting and the position of every Seq node on the spine.
-    Every other node keeps its own fields and position; a node with no
-    child program is returned as it is.
+    The node keeps its own fields and position; a node with no child
+    program is returned as it is.
     """
     if isinstance(p, Seq):
-        spine = []
-        while isinstance(p, Seq):
-            spine.append((p.pos, f(p.first)))
-            p = p.second
-        out = f(p)
-        for pos, first in reversed(spine):
-            out = Seq(first, out, pos)
-        return out
+        return Seq(*map(f, p.stmts), pos=p.pos)
     if isinstance(p, GeneralChoice):
         return GeneralChoice(f(p.left), p.prob, f(p.right), p.pos)
     if isinstance(p, Cond):

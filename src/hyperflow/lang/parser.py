@@ -7,6 +7,7 @@ values round-trip through the pretty-printer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,11 +21,13 @@ KEYWORDS = {
     "xor", "not",
 }
 
-_SYMBOLS = [
-    ":=", "<-", "..", "!=", "<=", ">=",
-    "{", "}", "(", ")", "[", "]", ",", ";", ":", "@", "=", "<", ">",
-    "+", "-", "*", "/",
-]
+# one alternative per token class; `//` comments come before the `/` symbol,
+# and `bad` takes any character no other alternative starts with
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|//[^\n]*|(?P<int>\d+)|(?P<word>[^\W\d]\w*)"
+    r"|(?P<sym>:=|<-|\.\.|[!<>]=|[{}()\[\],;:@=<>+\-*/])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 @dataclass
@@ -37,49 +40,20 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise HprogSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "int":
+            toks.append(Token("int", text, line, col))
+        elif kind == "sym":
+            toks.append(Token(text, text, line, col))
+        elif kind is not None:  # bad, or a word that starts with a non-letter such as "²"
+            raise HprogSyntaxError(f"unexpected character {text[0]!r}", line, col)
+    toks.append(Token("eof", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -90,8 +64,8 @@ class Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[min(self.i, len(self.toks) - 1)]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -110,12 +84,6 @@ class Parser:
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise HprogSyntaxError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        t = self.peek()
-        if not (t.kind == "kw" and t.text == word):
-            raise HprogSyntaxError(f"expected {word!r}, found {t.text or t.kind!r}", t.line, t.col)
         return self.next()
 
     def pos(self) -> A.Pos:
@@ -155,7 +123,7 @@ class Parser:
         if self.at_kw("hid"):
             self.next()
             return A.HID
-        self.expect_kw("vis")
+        self.expect("kw", "vis")
         if self.at("{"):
             self.next()
             agents = [self.expect("ident").text]
@@ -219,7 +187,7 @@ class Parser:
         while self.at(";"):
             self.next()
             parts.append(self.parse_choice_stmt())
-        return A.seq_of(*parts)
+        return A.Seq(*parts) if len(parts) > 1 else parts[0]
 
     def parse_choice_stmt(self) -> A.Program:
         pos = self.pos()
@@ -249,11 +217,11 @@ class Parser:
         if self.at_kw("if"):
             self.next()
             guard = self.parse_expr()
-            self.expect_kw("then")
+            self.expect("kw", "then")
             then_branch = self.parse_stmt()
-            self.expect_kw("else")
+            self.expect("kw", "else")
             else_branch = self.parse_stmt()
-            self.expect_kw("fi")
+            self.expect("kw", "fi")
             return A.Cond(guard, then_branch, else_branch, pos)
         if self.at_kw("local"):
             self.next()
@@ -261,7 +229,7 @@ class Parser:
             while self.at(","):
                 self.next()
                 decls.append(self.parse_local_decl())
-            self.expect_kw("in")
+            self.expect("kw", "in")
             self.expect("{")
             body = self.parse_stmt()
             self.expect("}")
@@ -274,7 +242,7 @@ class Parser:
         if self.at("("):
             self.next()
             first = self.expect("ident").text
-            self.expect_kw("xor")
+            self.expect("kw", "xor")
             second = self.expect("ident").text
             self.expect(")")
             self.expect(":=")
@@ -331,7 +299,7 @@ class Parser:
                 if self.at_kw("if"):
                     self.next()
                     guard = self.parse_expr()
-                    self.expect_kw("else")
+                    self.expect("kw", "else")
                     else_branch = self.parse_dist()
                     self.expect(")")
                     return A.DistCond(then_branch, guard, else_branch, pos)
@@ -376,7 +344,7 @@ class Parser:
         if self.at_kw("if"):
             self.next()
             guard = self.parse_or()
-            self.expect_kw("else")
+            self.expect("kw", "else")
             else_branch = self.parse_ifexpr()
             return A.IfExpr(e, guard, else_branch, pos)
         return e

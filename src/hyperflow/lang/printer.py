@@ -97,15 +97,10 @@ def _print_decl(d: A.VarDecl) -> str:
 def _stmt_lines(p: A.Program, indent: str) -> list[str]:
     nxt = indent + "  "
     if isinstance(p, A.Seq):
-        # parsing right-folds ';', so a left-nested first operand needs
-        # explicit grouping to survive the round trip
-        lines = []
-        while isinstance(p, A.Seq):
-            first = _braced(p.first, indent) if isinstance(p.first, A.Seq) else _stmt_lines(p.first, indent)
-            first[-1] += ";"
-            lines += first
-            p = p.second
-        return lines + _stmt_lines(p, indent)
+        parts = [_stmt_lines(q, indent) for q in p.stmts]
+        for part in parts[:-1]:
+            part[-1] += ";"
+        return [line for part in parts for line in part]
     if isinstance(p, A.Skip):
         return [indent + "skip"]
     if isinstance(p, A.Assign):

@@ -115,7 +115,7 @@ class _Desugarer:
                 p.pos,
             )
             fix = A.Assign(p.second, A.Binop("xor", A.Name(p.first), p.expr), p.pos)
-            return A.Seq(flip, fix, p.pos)
+            return A.Seq(flip, fix, pos=p.pos)
         if isinstance(p, A.LocalBlock):
             inner = dict(decls)
             for ld in p.decls:

@@ -89,7 +89,7 @@ class _Checker:
                 self.error("TypeMismatch", "(x xor y) := e needs a boolean e", p.pos)
             return
         if isinstance(p, A.Seq):
-            for q in A.statements(p):
+            for q in p.stmts:
                 self.check_stmt(q, scope, in_atomic)
             return
         if isinstance(p, A.GeneralChoice):

@@ -127,7 +127,7 @@ def _nf(p: A.Program, index: StateIndex, blocks: list, *, keep_zero: bool) -> li
             out += [x for x in split if keep_zero or any(x)]
         return out
     if isinstance(p, A.Seq):
-        for q in A.statements(p):
+        for q in p.stmts:
             blocks = _nf(q, index, blocks, keep_zero=keep_zero)
         return blocks
     if isinstance(p, (A.GeneralChoice, A.Cond)):

@@ -12,9 +12,9 @@ classical (relational) semantics run from each hidden point, then Hide
 (`_atomic`).  Assignments, choices, `atomic{..}` bodies and local-block
 initialisers all go through it.  Compound commands compose
 hyper-distributions: conditionals and probabilistic choices share one
-branch helper (a guard is a 0/1 weight), and sequences are a left fold that
-merges equal split-states after each statement, without recursing down the
-spine.  The classical semantics is built the same way.
+branch helper (a guard is a 0/1 weight), and a sequence is a left fold over
+its statements that merges equal split-states after each one.  The
+classical semantics is built the same way.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def _classical(p, scope: Scope, v, h, consts):
         return out
     if isinstance(p, A.Seq):
         states = [((v, h), ONE)]
-        for q in A.statements(p):
+        for q in p.stmts:
             states = _classical_then(states, q, scope, consts)
         return states
     if isinstance(p, (A.Cond, A.GeneralChoice)):
@@ -459,7 +459,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
         return _atomic(p, scope, s, consts)
     if isinstance(p, A.Seq):
         hyper = HyperDist.point(s)
-        for q in A.statements(p):
+        for q in p.stmts:
             hyper = _then(hyper, q, scope, consts)
         return hyper
     if isinstance(p, (A.Cond, A.GeneralChoice)):

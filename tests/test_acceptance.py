@@ -6,6 +6,7 @@ criterion.  Every expected number here is exact; Shannon values carry the
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -414,7 +415,7 @@ def test_criterion_7_program_algebra():
             if isinstance(p, (A.Skip, A.Assign, A.Choose, A.Atomic)):
                 return n_v
             if isinstance(p, A.Seq):
-                return nf_size(p.first, n_v) * nf_size(p.second, n_v)
+                return math.prod(nf_size(q, n_v) for q in p.stmts)
             if isinstance(p, A.GeneralChoice):
                 return nf_size(p.left, n_v) + nf_size(p.right, n_v)
             if isinstance(p, A.Cond):

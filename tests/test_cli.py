@@ -287,6 +287,12 @@ def test_long_sequence_evaluates(tmp_path, capsys):
     code, out, err = invoke(capsys, "eval", str(long), "--init", "v=0; h~uniform")
     assert code == 0 and err == ""
     assert out == invoke(capsys, "eval", str(short), "--init", "v=0; h~uniform")[1]
+    # the JSON form lists a sequence's statements instead of nesting them
+    code, out, err = invoke(capsys, "parse", "--json", str(long))
+    body = json.loads(out)["module"]["body"]
+    assert code == 0 and err == ""
+    assert body["kind"] == "seq" and len(body["statements"]) == 1200
+    assert {q["kind"] for q in body["statements"]} == {"assign"}
 
 
 def test_measure_gentropy(capsys):

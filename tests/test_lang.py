@@ -16,6 +16,7 @@ from hyperflow.lang import (
     project_view,
     validate,
 )
+from hyperflow.lang.parser import tokenize
 from hyperflow.lang.transform import has_construct
 from hyperflow.probcore import vnum
 
@@ -39,10 +40,9 @@ def test_parse_skip():
 
 def test_threebox_parses_to_three_statements():
     m = load("threebox_S")
-    assert isinstance(m.body, A.Seq)
-    assert isinstance(m.body.second, A.Seq)
-    assert isinstance(m.body.first, A.Choose)
-    assert isinstance(m.body.second.second, A.Assign)
+    assert isinstance(m.body, A.Seq) and len(m.body.stmts) == 3
+    assert isinstance(m.body.stmts[0], A.Choose)
+    assert isinstance(m.body.stmts[-1], A.Assign)
 
 
 def test_general_choice_between_statements():
@@ -54,6 +54,43 @@ def test_syntax_error_carries_position():
     with pytest.raises(HprogSyntaxError) as exc:
         parse("vis v : {0..1};\nskip skip")
     assert exc.value.line == 2
+
+
+def _tokens(src):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+
+
+def test_tokens_carry_line_and_column():
+    # a tab and a '\r' are one column each; a comment that ends the file puts eof after it
+    assert _tokens("vis\tx : {0..1};\r\nx := -1 // one\n// end") == [
+        ("kw", "vis", 1, 1), ("ident", "x", 1, 5), (":", ":", 1, 7), ("{", "{", 1, 9),
+        ("int", "0", 1, 10), ("..", "..", 1, 11), ("int", "1", 1, 13), ("}", "}", 1, 14),
+        (";", ";", 1, 15), ("ident", "x", 2, 1), (":=", ":=", 2, 3), ("-", "-", 2, 6),
+        ("int", "1", 2, 7), ("eof", "", 3, 7),
+    ]
+    assert _tokens("é_1 <=") == [("ident", "é_1", 1, 1), ("<=", "<=", 1, 5), ("eof", "", 1, 7)]
+
+
+@pytest.mark.parametrize(
+    "src, char, col", [("v := $", "$", 6), ("v := 1.5", ".", 7), ("v := ²", "²", 6), ("½", "½", 1)]
+)
+def test_unexpected_character_is_a_syntax_error(src, char, col):
+    with pytest.raises(HprogSyntaxError) as exc:
+        tokenize(src)
+    assert str(exc.value) == f"1:{col}: unexpected character {char!r}"
+
+
+def test_sequences_are_flat():
+    a, b, c = (A.Assign("v", A.Lit(vnum(k))) for k in range(3))
+    left, right = A.Seq(A.Seq(a, b), c), A.Seq(a, A.Seq(b, c))
+    assert left == right == A.Seq(a, b, c) and hash(left) == hash(right)
+    assert left.stmts == (a, b, c)
+    with pytest.raises(ValueError):
+        A.Seq(a)
+    src = "vis v : {0..1};\n" + ";\n".join(["v := (v + 1) mod 2"] * 10_000)
+    m1, m2 = parse(src), parse(src)
+    assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
+    assert repr(m1) == repr(m2)
 
 
 def test_pretty_print_skip():
@@ -191,10 +228,10 @@ def test_desugar_xor_assign():
     )
     d = desugar(m)
     assert isinstance(d.body, A.Seq)
-    assert d.body.first == A.Choose(
-        "p", A.DistUniform((A.Lit(vbool(False)), A.Lit(vbool(True))))
+    assert d.body.stmts == (
+        A.Choose("p", A.DistUniform((A.Lit(vbool(False)), A.Lit(vbool(True))))),
+        A.Assign("k", A.Binop("xor", A.Name("p"), A.Name("e"))),
     )
-    assert d.body.second == A.Assign("k", A.Binop("xor", A.Name("p"), A.Name("e")))
 
 
 def test_desugar_removes_all_sugar_and_validates():
@@ -250,12 +287,12 @@ _LONG_STATEMENTS = [
 
 
 def test_walkers_handle_a_long_straight_line_program():
-    # every lang walker iterates the ';' spine instead of recursing on it
+    # every lang walker iterates a sequence's statements instead of recursing on them
     n = 10_000
     src = "vis{A} a : {false, true}; vis v : {0..1}; hid h : {0..2}; hid k : {false, true};\n"
     m = parse(src + ";\n".join(_LONG_STATEMENTS[i % 4] for i in range(n)))
     stmts = list(A.statements(m.body))
-    assert len(stmts) == n and A.node_count(m.body) == 2 * n - 1 + n // 4
+    assert len(stmts) == n and A.node_count(m.body) == n + 1 + n // 4
     assert validate(m) == []
     assert agents_of(m) == {"A", "B"}
     assert has_construct(m.body, (A.Reveal,)) and not has_construct(m.body, (A.Cond,))
@@ -270,8 +307,7 @@ def test_walkers_handle_a_long_straight_line_program():
     assert len(desugared) == n + n // 4
     reveals = [q.body.decls[0].decl.name for q in desugared if isinstance(q, A.LocalBlock)]
     assert reveals == [f"reveal_{i}" for i in range(1, n // 4 + 1)]
-    # ASTs this deep are compared statement by statement: dataclass == recurses
     text = pretty_print(m)
     again = parse(text)
     assert pretty_print(again) == text
-    assert list(A.statements(again.body)) == stmts
+    assert again == m
