@@ -7,8 +7,9 @@ the parse/pretty-print round-trip law needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..probcore import Domain, Value
 
@@ -89,10 +90,48 @@ class Unop(Expr):
 
 @dataclass(frozen=True)
 class Binop(Expr):
-    op: str  # + - * / div mod = != < <= > >= and or xor
+    op: str  # a key of BINOPS
     left: Expr
     right: Expr
     pos: Optional[Pos] = _pos_field()
+
+
+@dataclass(frozen=True)
+class Op:
+    """A binary operator.  Operand kinds: 'bool'; 'num' (booleans count as
+    0/1); 'int' (a 'num' that must be an integer at run time); 'any' (any value)."""
+
+    level: int  # binding strength; a greater level binds tighter
+    operand: str  # 'bool' | 'num' | 'int' | 'any'
+    result: str  # 'bool' | 'num'
+    fn: Callable
+    by_zero: Optional[str] = None  # run-time error text for a zero right operand
+    decides: Optional[bool] = None  # a left operand equal to this is the result
+
+
+# Binding levels, loosest first: 0 is the conditional expression, then the
+# levels of BINOPS with prefix `not` among them, then unary minus.
+NOT_LEVEL = 4
+CMP_LEVEL = 5
+UNARY_LEVEL = 8
+
+BINOPS: dict[str, Op] = {
+    "or": Op(1, "bool", "bool", operator.or_, decides=True),
+    "xor": Op(2, "bool", "bool", operator.ne),
+    "and": Op(3, "bool", "bool", operator.and_, decides=False),
+    "=": Op(CMP_LEVEL, "any", "bool", operator.eq),
+    "!=": Op(CMP_LEVEL, "any", "bool", operator.ne),
+    "<": Op(CMP_LEVEL, "num", "bool", operator.lt),
+    "<=": Op(CMP_LEVEL, "num", "bool", operator.le),
+    ">": Op(CMP_LEVEL, "num", "bool", operator.gt),
+    ">=": Op(CMP_LEVEL, "num", "bool", operator.ge),
+    "+": Op(6, "num", "num", operator.add),
+    "-": Op(6, "num", "num", operator.sub),
+    "*": Op(7, "num", "num", operator.mul),
+    "div": Op(7, "int", "num", operator.floordiv, "div by zero"),
+    "mod": Op(7, "int", "num", operator.mod, "mod by zero"),
+    "/": Op(7, "num", "num", operator.truediv, "division by zero"),
+}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Tokenizer and recursive-descent parser for `.hprog` sources.
 
-The grammar is documented in docs/grammar.md.  The parser folds a unary
-minus applied to a numeric literal into the literal itself, so negative
-values round-trip through the pretty-printer.
+The grammar is documented in docs/grammar.md.  Statements are parsed by
+recursive descent; binary operators by precedence climbing over the one
+operator table, `BINOPS` in lang/ast.py, whose word operators are keywords.
+The parser folds a unary minus applied to a numeric literal into the
+literal itself, so negative values round-trip through the pretty-printer.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from . import ast as A
 
 KEYWORDS = {
     "vis", "hid", "skip", "if", "then", "else", "fi", "atomic", "local",
-    "in", "reveal", "uniform", "true", "false", "div", "mod", "and", "or",
-    "xor", "not",
+    "in", "reveal", "uniform", "true", "false", "not",
+    *(op for op in A.BINOPS if op.isalpha()),
 }
 
 # one alternative per token class; `//` comments come before the `/` symbol,
@@ -65,7 +67,7 @@ class Parser:
     # -- token helpers ----------------------------------------------------
 
     def peek(self) -> Token:
-        return self.toks[min(self.i, len(self.toks) - 1)]
+        return self.toks[self.i]  # no path consumes 'eof' before expect("eof")
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -75,9 +77,6 @@ class Parser:
     def at(self, kind: str, text: str | None = None) -> bool:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
-
-    def at_kw(self, word: str) -> bool:
-        return self.at("kw", word)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
@@ -98,7 +97,7 @@ class Parser:
 
     def parse_module(self) -> A.Module:
         decls: list[A.VarDecl] = []
-        while self.at_kw("vis") or self.at_kw("hid"):
+        while self.at("kw", "vis") or self.at("kw", "hid"):
             decls.extend(self.parse_decl_line())
         body = self.parse_stmt()
         self.expect("eof")
@@ -120,7 +119,7 @@ class Parser:
         ]
 
     def parse_visibility(self) -> A.Visibility:
-        if self.at_kw("hid"):
+        if self.at("kw", "hid"):
             self.next()
             return A.HID
         self.expect("kw", "vis")
@@ -202,19 +201,19 @@ class Parser:
 
     def parse_atom_stmt(self) -> A.Program:
         pos = self.pos()
-        if self.at_kw("skip"):
+        if self.at("kw", "skip"):
             self.next()
             return A.Skip(pos)
-        if self.at_kw("reveal"):
+        if self.at("kw", "reveal"):
             self.next()
             return A.Reveal(self.parse_expr(), pos)
-        if self.at_kw("atomic"):
+        if self.at("kw", "atomic"):
             self.next()
             self.expect("{")
             body = self.parse_stmt()
             self.expect("}")
             return A.Atomic(body, pos)
-        if self.at_kw("if"):
+        if self.at("kw", "if"):
             self.next()
             guard = self.parse_expr()
             self.expect("kw", "then")
@@ -223,7 +222,7 @@ class Parser:
             else_branch = self.parse_stmt()
             self.expect("kw", "fi")
             return A.Cond(guard, then_branch, else_branch, pos)
-        if self.at_kw("local"):
+        if self.at("kw", "local"):
             self.next()
             decls = [self.parse_local_decl()]
             while self.at(","):
@@ -274,7 +273,7 @@ class Parser:
 
     def parse_dist(self) -> A.DistExpr:
         pos = self.pos()
-        if self.at_kw("uniform"):
+        if self.at("kw", "uniform"):
             self.next()
             self.expect("{")
             exprs = [self.parse_expr()]
@@ -296,7 +295,7 @@ class Parser:
             try:
                 self.next()
                 then_branch = self.parse_dist()
-                if self.at_kw("if"):
+                if self.at("kw", "if"):
                     self.next()
                     guard = self.parse_expr()
                     self.expect("kw", "else")
@@ -336,57 +335,35 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> A.Expr:
-        return self.parse_ifexpr()
-
-    def parse_ifexpr(self) -> A.Expr:
         pos = self.pos()
-        e = self.parse_or()
-        if self.at_kw("if"):
+        e = self.parse_binary(0)
+        if self.at("kw", "if"):
             self.next()
-            guard = self.parse_or()
+            guard = self.parse_binary(0)
             self.expect("kw", "else")
-            else_branch = self.parse_ifexpr()
-            return A.IfExpr(e, guard, else_branch, pos)
+            return A.IfExpr(e, guard, self.parse_expr(), pos)  # nests to the right
         return e
 
-    def _binop_chain(self, sub, ops):
-        e = sub()
+    def parse_binary(self, min_level: int) -> A.Expr:
+        """An expression whose operators bind at min_level or tighter, by
+        precedence climbing over A.BINOPS; chains associate to the left."""
+        t = self.peek()
+        if t.kind == "kw" and t.text == "not" and min_level <= A.NOT_LEVEL:
+            self.next()
+            e = A.Unop("not", self.parse_binary(A.NOT_LEVEL), A.Pos(t.line, t.col))
+            max_level = A.NOT_LEVEL - 1
+        else:
+            e, max_level = self.parse_unary(), A.UNARY_LEVEL
         while True:
             t = self.peek()
-            op = t.text if (t.kind == "kw" or t.kind in ops) and t.text in ops else None
-            if op is None:
+            op = A.BINOPS.get(t.text)
+            # a tighter operator here is one the right operand refused
+            if op is None or not min_level <= op.level <= max_level:
                 return e
             self.next()
-            e = A.Binop(op, e, sub(), A.Pos(t.line, t.col))
-
-    def parse_or(self) -> A.Expr:
-        return self._binop_chain(self.parse_xor, ("or",))
-
-    def parse_xor(self) -> A.Expr:
-        return self._binop_chain(self.parse_and, ("xor",))
-
-    def parse_and(self) -> A.Expr:
-        return self._binop_chain(self.parse_not, ("and",))
-
-    def parse_not(self) -> A.Expr:
-        if self.at_kw("not"):
-            t = self.next()
-            return A.Unop("not", self.parse_not(), A.Pos(t.line, t.col))
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> A.Expr:
-        e = self.parse_add()
-        t = self.peek()
-        if t.text in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return A.Binop(t.text, e, self.parse_add(), A.Pos(t.line, t.col))
-        return e
-
-    def parse_add(self) -> A.Expr:
-        return self._binop_chain(self.parse_mul, ("+", "-"))
-
-    def parse_mul(self) -> A.Expr:
-        return self._binop_chain(self.parse_unary, ("*", "div", "mod", "/"))
+            e = A.Binop(t.text, e, self.parse_binary(op.level + 1), A.Pos(t.line, t.col))
+            # a comparison does not chain: only looser operators may follow it
+            max_level = op.level - (op.level == A.CMP_LEVEL)
 
     def parse_unary(self) -> A.Expr:
         if self.at("-"):

@@ -1,32 +1,23 @@
-"""Pretty-printer; parse(pretty_print(m)) is structurally equal to m."""
+"""Pretty-printer; parse(pretty_print(m)) is structurally equal to m.
+
+Expressions get the fewest parentheses that the binding levels of
+lang/ast.py's BINOPS, NOT_LEVEL and UNARY_LEVEL allow.
+"""
 
 from __future__ import annotations
 
 from . import ast as A
 
-# binding strength, loosest first; unary operators sit above all binaries
-_LEVELS = [
-    ("ifexpr",),
-    ("or",),
-    ("xor",),
-    ("and",),
-    ("not",),
-    ("=", "!=", "<", "<=", ">", ">="),
-    ("+", "-"),
-    ("*", "div", "mod", "/"),
-]
-_LEVEL_OF = {op: i for i, ops in enumerate(_LEVELS) for op in ops}
-_UNARY_LEVEL = len(_LEVELS)
-
 
 def _expr_level(e: A.Expr) -> int:
+    """Binding level of e's outermost operator; atoms bind tightest."""
     if isinstance(e, A.IfExpr):
-        return _LEVEL_OF["ifexpr"]
+        return 0
     if isinstance(e, A.Binop):
-        return _LEVEL_OF[e.op]
+        return A.BINOPS[e.op].level
     if isinstance(e, A.Unop):
-        return _LEVEL_OF["not"] if e.op == "not" else _UNARY_LEVEL
-    return _UNARY_LEVEL + 1
+        return A.NOT_LEVEL if e.op == "not" else A.UNARY_LEVEL
+    return A.UNARY_LEVEL + 1
 
 
 def print_expr(e: A.Expr, parent_level: int = -1) -> str:
@@ -36,15 +27,12 @@ def print_expr(e: A.Expr, parent_level: int = -1) -> str:
     elif isinstance(e, A.Name):
         text = e.ident
     elif isinstance(e, A.Unop):
-        if e.op == "not":
-            text = f"not {print_expr(e.operand, level)}"
-        else:
-            text = f"-{print_expr(e.operand, _UNARY_LEVEL)}"
+        text = ("not " if e.op == "not" else "-") + print_expr(e.operand, level)
     elif isinstance(e, A.Binop):
         # chains are left-associative; force parens on right operands of
         # the same level (both sides for non-associative comparisons) so
         # the reparse rebuilds the identical tree
-        left_level = level + 1 if e.op in _LEVELS[5] else level
+        left_level = level + 1 if level == A.CMP_LEVEL else level
         left = print_expr(e.left, left_level)
         right = print_expr(e.right, level + 1)
         text = f"{left} {e.op} {right}"

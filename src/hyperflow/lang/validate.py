@@ -240,36 +240,18 @@ class _Checker:
         if isinstance(e, A.Binop):
             lk = self.check_expr(e.left, scope)
             rk = self.check_expr(e.right, scope)
-            op = e.op
-            if op in ("+", "-", "*", "/", "div", "mod"):
-                for k in (lk, rk):
-                    if k not in ("num", "bool", "mixed", None):
-                        self.error("TypeMismatch", f"'{op}' needs numeric operands", e.pos)
-                if op in ("/", "div", "mod"):
-                    q = _const_value(e.right)
-                    if q == 0:
-                        self.error("DivisionByZero", f"'{op}' by the constant 0", e.pos)
-                return "num"
-            if op in ("and", "or", "xor"):
-                for k in (lk, rk):
-                    if k not in ("bool", "mixed", None):
-                        self.error("TypeMismatch", f"'{op}' needs boolean operands", e.pos)
-                return "bool"
-            if op in ("=", "!="):
-                if (
-                    lk is not None
-                    and rk is not None
-                    and "mixed" not in (lk, rk)
-                    and (lk == "sym") != (rk == "sym")
-                ):
+            op = A.BINOPS[e.op]
+            if op.operand == "any":
+                if not {lk, rk} & {None, "mixed"} and (lk == "sym") != (rk == "sym"):
                     self.error("TypeMismatch", f"cannot compare {lk} with {rk}", e.pos)
-                return "bool"
-            if op in ("<", "<=", ">", ">="):
+            else:
+                accepted, needs = (("bool",), "boolean") if op.operand == "bool" else (("num", "bool"), "numeric")
                 for k in (lk, rk):
-                    if k not in ("num", "bool", "mixed", None):
-                        self.error("TypeMismatch", f"'{op}' needs numeric operands", e.pos)
-                return "bool"
-            raise TypeError(op)
+                    if k not in accepted + ("mixed", None):
+                        self.error("TypeMismatch", f"'{e.op}' needs {needs} operands", e.pos)
+            if op.by_zero and _const_value(e.right) == 0:
+                self.error("DivisionByZero", f"'{e.op}' by the constant 0", e.pos)
+            return op.result
         if isinstance(e, A.IfExpr):
             gk = self.check_expr(e.guard, scope)
             if gk not in ("bool", None):
@@ -295,21 +277,13 @@ def _const_value(e: A.Expr) -> Optional[Fraction]:
     if isinstance(e, A.Unop) and e.op == "-":
         q = _const_value(e.operand)
         return None if q is None else -q
-    if isinstance(e, A.Binop) and e.op in ("+", "-", "*", "/"):
-        left = _const_value(e.left)
-        right = _const_value(e.right)
-        if left is None or right is None:
-            return None
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0:
-            return None
-        return left / right
-    return None
+    op = A.BINOPS[e.op] if isinstance(e, A.Binop) else None
+    if op is None or not op.operand == op.result == "num":
+        return None
+    left, right = _const_value(e.left), _const_value(e.right)
+    if left is None or right is None or (op.by_zero and right == 0):
+        return None
+    return op.fn(left, right)
 
 
 def validate(module: A.Module, allow_uniform_init: bool = False) -> list[Diagnostic]:

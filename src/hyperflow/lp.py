@@ -200,15 +200,17 @@ def _standardise(lp: LinearProgram) -> _Standardised:
             extra_rows.append((row, "<=", hi))
 
     def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+        # each original column has standard columns of its own: assign, not add
         out = [ZERO] * n_struct
         base = ZERO
         for j, c in enumerate(coeffs):
             if c == 0:
                 continue
-            out[col_plus[j]] += c
+            out[col_plus[j]] = c
             if col_minus[j] is not None:
-                out[col_minus[j]] -= c
-            base += c * shift[j]
+                out[col_minus[j]] = -c
+            if shift[j]:
+                base += c * shift[j]
         return out, base
 
     originals = [(con.coeffs, con.rel, con.rhs) for con in lp.constraints]

@@ -184,51 +184,26 @@ def eval_expr(e: A.Expr, env: dict[str, Value]) -> Value:
             return vnum(-_num(v, "'-'"))
         return vbool(not _boolean(v, "'not'"))
     if isinstance(e, A.Binop):
-        op = e.op
-        if op in ("and", "or"):
-            left = _boolean(eval_expr(e.left, env), op)
-            if op == "and" and not left:
-                return vbool(False)
-            if op == "or" and left:
-                return vbool(True)
-            return vbool(_boolean(eval_expr(e.right, env), op))
+        op = A.BINOPS[e.op]
         lv = eval_expr(e.left, env)
+        if op.decides is not None:  # and, or: the right operand runs only if needed
+            if _boolean(lv, e.op) == op.decides:
+                return lv
+            return vbool(_boolean(eval_expr(e.right, env), e.op))
         rv = eval_expr(e.right, env)
-        if op == "xor":
-            return vbool(_boolean(lv, op) != _boolean(rv, op))
-        if op in ("=", "!="):
-            eq = lv == rv
-            return vbool(eq if op == "=" else not eq)
-        ln, rn = _num(lv, op), _num(rv, op)
-        if op == "+":
-            return vnum(ln + rn)
-        if op == "-":
-            return vnum(ln - rn)
-        if op == "*":
-            return vnum(ln * rn)
-        if op == "/":
-            if rn == 0:
-                raise EvalError("division by zero")
-            return vnum(ln / rn)
-        if op == "div":
-            rz = _int(rn, "div")
-            if rz == 0:
-                raise EvalError("div by zero")
-            return vnum(_int(ln, "div") // rz)
-        if op == "mod":
-            rz = _int(rn, "mod")
-            if rz == 0:
-                raise EvalError("mod by zero")
-            return vnum(_int(ln, "mod") % rz)
-        if op == "<":
-            return vbool(ln < rn)
-        if op == "<=":
-            return vbool(ln <= rn)
-        if op == ">":
-            return vbool(ln > rn)
-        if op == ">=":
-            return vbool(ln >= rn)
-        raise TypeError(op)
+        if op.operand == "any":
+            return vbool(op.fn(lv, rv))
+        if op.operand == "bool":
+            return vbool(op.fn(_boolean(lv, e.op), _boolean(rv, e.op)))
+        ln, rn = _num(lv, e.op), _num(rv, e.op)
+        if op.operand == "int":
+            rn = _int(rn, e.op)
+        if op.by_zero and rn == 0:
+            raise EvalError(op.by_zero)
+        if op.operand == "int":
+            ln = _int(ln, e.op)
+        x = op.fn(ln, rn)
+        return vbool(x) if op.result == "bool" else vnum(x)
     if isinstance(e, A.IfExpr):
         if _boolean(eval_expr(e.guard, env), "if"):
             return eval_expr(e.then_branch, env)

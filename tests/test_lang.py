@@ -1,6 +1,8 @@
 """Parser, printer round trips, validation, views, and desugaring."""
 
+import itertools
 import random
+import re
 
 import pytest
 
@@ -311,3 +313,51 @@ def test_walkers_handle_a_long_straight_line_program():
     again = parse(text)
     assert pretty_print(again) == text
     assert again == m
+
+
+# -- the operator table --------------------------------------------------------
+
+
+def _exprs_over_operator_pairs():
+    """For every ordered pair of binary operators, the inner one as the left
+    and as the right child of the outer one, each also under `not`, unary
+    minus and in every place of a conditional expression."""
+    a, b, c = A.Name("a"), A.Name("b"), A.Name("c")
+    for outer, inner in itertools.product(A.BINOPS, repeat=2):
+        for e in (A.Binop(outer, A.Binop(inner, a, b), c), A.Binop(outer, a, A.Binop(inner, b, c))):
+            yield e
+            yield A.Unop("not", e)
+            yield A.Unop("-", e)
+            yield A.IfExpr(e, b, c)
+            yield A.IfExpr(a, e, c)
+            yield A.IfExpr(a, b, e)
+
+
+def test_every_operator_pair_round_trips():
+    for e in _exprs_over_operator_pairs():
+        m = A.Module((), A.Assign("x", e))
+        text = pretty_print(m)
+        assert parse(text) == m, text
+        assert pretty_print(parse(text)) == text
+
+
+@pytest.mark.parametrize("src, col", [("x := a < b < c", 12), ("x := x and a < b < c", 18), ("x := not a < b < c", 16)])
+def test_comparisons_do_not_chain(src, col):
+    with pytest.raises(HprogSyntaxError) as err:
+        parse_program(src)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value) == f"1:{col}: expected 'eof', found '<'"
+
+
+def test_grammar_doc_lists_the_operator_table():
+    doc = (CORPUS.parent / "docs" / "grammar.md").read_text()
+    intro, block = doc.split("Binding, loosest to tightest")[1].split("```")[:2]
+    assert "BINOPS" in intro
+    listed = [set(re.findall(r'"([^"]+)"', line)) for line in block.strip().splitlines()]
+    levels = sorted({op.level for op in A.BINOPS.values()} | {A.NOT_LEVEL})
+    assert 0 < levels[0] and levels[-1] < A.UNARY_LEVEL  # 0 is the conditional
+    groups = [
+        {name for name, op in A.BINOPS.items() if op.level == level} | ({"not"} if level == A.NOT_LEVEL else set())
+        for level in levels
+    ]
+    assert listed == [{"if", "else"}, *groups, {"-"}]

@@ -1,6 +1,7 @@
 """Split-state semantics: command rows, embeddings, blocks, and laws."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -19,8 +20,10 @@ from conftest import (
     threebox_init,
 )
 from hyperflow.errors import DistNotOneSumming, UnsupportedConstruct
+from hyperflow.errors import EvalError
 from hyperflow.lang import ast as A
 from hyperflow.lang import desugar, parse, parse_program
+from hyperflow.lang import validate
 from hyperflow.measures import ft
 from hyperflow.probcore import FiniteDist, expected_value, vbool, vnum, vsym
 from hyperflow.semantics import (
@@ -33,6 +36,7 @@ from hyperflow.semantics import (
     reduce_hyper,
 )
 from hyperflow.semantics import eval as eval_hyper
+from hyperflow.semantics import eval_expr
 
 SC2 = Scope.of_module(parse("vis v : {0,1}; hid h : {0,1}; skip"))
 SC23 = Scope.of_module(parse("vis v : {0,1}; hid h : {0..2}; skip"))
@@ -442,3 +446,54 @@ def test_outer_weights_sum_one_and_inner_full():
 def test_reveal_must_be_desugared():
     with pytest.raises(UnsupportedConstruct):
         eval_hyper(A.Reveal(A.Name("v")), SC2, SplitState((vnum(0),), point_delta(0)))
+
+
+# -- binary operators: the validator's kinds against evaluated values ----------
+
+_LITERALS = {
+    "bool": (vbool(True), vbool(False)),
+    "num": (vnum(7), vnum(F(1, 2))),
+    "int": (vnum(7), vnum(2)),
+    "sym": (vsym("w"), vsym("k")),
+}
+# literal kinds each operand kind of the table takes
+_TAKES = {"bool": ("bool",), "num": ("num", "bool"), "int": ("int", "bool"), "any": ("num", "bool", "sym")}
+
+
+def _checked_kind(e: A.Expr) -> str:
+    # storing into an enum variable reports the kind the validator gave e
+    m = A.Module(parse("vis s : {w, k}; skip").decls, A.Assign("s", e))
+    (stored,) = [d for d in validate(m) if d.message.startswith("cannot store a ")]
+    return stored.message.split()[3]
+
+
+def test_operator_result_kinds_match_evaluated_values():
+    for name, op in A.BINOPS.items():
+        for lk, rk in itertools.product(_TAKES[op.operand], repeat=2):
+            for lv, rv in itertools.product(_LITERALS[lk], _LITERALS[rk]):
+                if op.by_zero and not rv.payload:
+                    continue
+                e = A.Binop(name, A.Lit(lv), A.Lit(rv))
+                assert _checked_kind(e) == eval_expr(e, {}).kind, (name, lv, rv)
+
+
+_ZERO_DIVISOR_ERRORS = {"/": "division by zero", "div": "div by zero", "mod": "mod by zero"}
+
+
+def test_dividing_operators_reject_a_zero_divisor():
+    assert {name for name, op in A.BINOPS.items() if op.by_zero} == set(_ZERO_DIVISOR_ERRORS)
+    for name, message in _ZERO_DIVISOR_ERRORS.items():
+        m = parse(f"vis v : {{0..3}}; v := v {name} (1 - 1)")
+        assert [(d.code, d.message) for d in validate(m)] == [("DivisionByZero", f"'{name}' by the constant 0")]
+        with pytest.raises(EvalError) as err:
+            eval_expr(A.Binop(name, A.Name("v"), A.Name("z")), {"v": vnum(3), "z": vnum(0)})
+        assert str(err.value) == message
+
+
+def test_and_or_short_circuit_but_xor_evaluates_both_operands():
+    assert eval_expr(parse_program("reveal false and (1 div 0 = 0)").expr, {}) == vbool(False)
+    assert eval_expr(parse_program("reveal true or (1 div 0 = 0)").expr, {}) == vbool(True)
+    # xor evaluates both operands before it checks either
+    with pytest.raises(EvalError) as err:
+        eval_expr(parse_program("reveal 3 xor not 0").expr, {})
+    assert str(err.value) == "'not': expected a boolean, got 0"
