@@ -5,9 +5,10 @@ When spec and impl are functionally equal but the impl's partition at some
 visible value v' is not reachable by merging spec fractions, that partition
 lies strictly outside a convex set (all refinements of the spec partition),
 so a hyperplane separates them.  The hyperplane's normal, transposed and
-normalised, becomes a stochastic channel on the hidden state; wrapping it
-in `if v = v' then h <- row(h) else h := const fi` yields a context under
-which the impl is strictly more vulnerable to a single guess than the spec.
+normalised, becomes a stochastic channel from the hidden tuple to the first
+hidden variable; `if v = v' then h <- row(h, k) else h := c fi; k := c'`
+is then a context under which the impl is strictly more vulnerable to a
+single guess than the spec.
 
 Two routes produce the normal: the Farkas certificate of the failed
 refinement LP (free, the default) and an explicit vertex-enumeration LP
@@ -26,7 +27,6 @@ from .errors import (
     InternalError,
     NotSeparable,
     PreconditionViolated,
-    UnsupportedConstruct,
     VertexBudgetExceeded,
 )
 from .lang import ast as A
@@ -150,23 +150,24 @@ def separating_direction_by_vertices(
 
 @dataclass
 class AttackChannel:
-    """Stochastic redistribution of the hidden value, applied at v'.
+    """Stochastic redistribution of the hidden tuple, applied at v'.
 
-    Rows are indexed by the declared hidden values; columns by the target
-    values: a prefix drawn from (or extending) the declared hidden domain,
-    plus `n_split` fresh values that absorb the slack left after scaling.
+    Rows are indexed by the declared hidden tuples; columns by the target
+    values of the first hidden variable: a prefix drawn from (or extending)
+    its declared domain, plus `n_split` fresh values that absorb the slack
+    left after scaling.
     No fresh column ever attracts a maximising one-guess strategy on
     either side; that is checked numerically during construction.
     """
 
     rows: dict  # hidden tuple -> list[Fraction] over columns
-    columns: list[Value]  # single-variable target values
+    columns: list[Value]  # values of the first hidden variable
     n_split: int
     trigger_v: tuple
 
 
 def _fresh_values(domain_values, count: int) -> list[Value]:
-    """Fresh single-var numeric values 0, -1, -2, ... avoiding the domain."""
+    """Fresh numeric values 0, -1, -2, ... avoiding the domain."""
     out: list[Value] = []
     k = 0
     while len(out) < count:
@@ -181,7 +182,7 @@ def build_attack_channel(
     direction: SeparatingDirection,
     pi_s: Partition,
     pi_i: Partition,
-    h_domain_values: list[Value],
+    h_tuples: list[tuple],
     trigger_v: tuple = (),
 ) -> AttackChannel:
     """Turn a separating normal into a one-summing channel matrix.
@@ -203,13 +204,13 @@ def build_attack_channel(
     else:
         raise NotSeparable("direction does not separate the refinement set")
 
-    # rows: declared hidden values (tuples); columns: target fraction slots.
-    # X columns cover only the partitions' support; other hidden values get
+    # rows: declared hidden tuples; columns: target fraction slots.
+    # X columns cover only the partitions' support; other hidden tuples get
     # constant rows, which is harmless since they never occur at v'.
     f_i = x.nrows
     col_of = {h: j for j, h in enumerate(h_columns)}
     d0: dict = {}
-    for h in _h_tuples(h_domain_values):
+    for h in h_tuples:
         if h in col_of:
             d0[h] = [x[r, col_of[h]] for r in range(f_i)]
         else:
@@ -222,12 +223,12 @@ def build_attack_channel(
     scaled = {h: [q / max_row_sum for q in row] for h, row in shifted.items()}
     slack = {h: 1 - sum(row, ZERO) for h, row in scaled.items()}
 
-    # target values: reuse the declared hidden domain order, extend if the
-    # partition has more fractions than the domain has values
-    base_values = [h[0] for h in _h_tuples(h_domain_values)]
-    target_values = list(base_values[:f_i])
+    # target values: the first hidden variable's declared values in order,
+    # extended if the partition has more fractions than that domain has values
+    base_values = list(dict.fromkeys(h[0] for h in h_tuples))
+    target_values = base_values[:f_i]
     if f_i > len(base_values):
-        target_values += _fresh_values(h_domain_values, f_i - len(base_values))
+        target_values += _fresh_values(base_values, f_i - len(base_values))
 
     # how many ways to split the slack so no fresh value can win a guess:
     # fraction r's mass on a fresh column is slack_r / k, its best real
@@ -247,9 +248,7 @@ def build_attack_channel(
                 while z_r / n_split >= m_r:
                     n_split += 1
 
-    split_values = _fresh_values(
-        list(h_domain_values) + target_values, n_split
-    )
+    split_values = _fresh_values(base_values + target_values, n_split)
     columns = target_values + split_values
     rows = {}
     for h, row in scaled.items():
@@ -258,10 +257,6 @@ def build_attack_channel(
         if sum(rows[h], ZERO) != 1:
             raise InternalError("channel row does not sum to one")
     return AttackChannel(rows, columns, n_split, trigger_v=trigger_v)
-
-
-def _h_tuples(h_domain_values):
-    return [(v,) for v in h_domain_values]
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +277,31 @@ def _row_dist(columns, row) -> A.DistExpr:
     return A.DistExplicit(entries)
 
 
-def channel_choose_dist(channel: AttackChannel, h_name: str) -> A.DistExpr:
-    """Nested conditional distribution selecting the row for the current h."""
+def _equal_to(names, values) -> A.Expr:
+    """`n1 = x1 and n2 = x2 and ..`, or `true` for no names."""
+    guard: Optional[A.Expr] = None
+    for name, val in zip(names, values):
+        term = A.Binop("=", A.Name(name), A.Lit(val))
+        guard = term if guard is None else A.Binop("and", guard, term)
+    return A.Lit(Value("bool", True)) if guard is None else guard
+
+
+def channel_choose_dist(channel: AttackChannel, h_names) -> A.DistExpr:
+    """Nested conditional distribution selecting the row for the current
+    joint value of the hidden variables `h_names`."""
     hs = sorted(channel.rows, key=value_key)
     dist = _row_dist(channel.columns, channel.rows[hs[-1]])
     for h in reversed(hs[:-1]):
-        guard = A.Binop("=", A.Name(h_name), A.Lit(h[0]))
-        dist = A.DistCond(_row_dist(channel.columns, channel.rows[h]), guard, dist)
+        dist = A.DistCond(
+            _row_dist(channel.columns, channel.rows[h]), _equal_to(h_names, h), dist
+        )
     return dist
+
+
+def _pin(decl: A.VarDecl) -> A.Assign:
+    """`x := c` for a constant c of x's domain (0 where it has one)."""
+    values = decl.domain.values
+    return A.Assign(decl.name, A.Lit(vnum(0) if vnum(0) in values else values[0]))
 
 
 def emit_context(
@@ -297,40 +309,23 @@ def emit_context(
     trigger_v: tuple,
     module: A.Module,
 ) -> A.Module:
-    """A standalone context module: same variables, hidden domain extended
-    with the channel's fresh values; body applies the channel at v' and
-    pins the hidden value to a constant elsewhere."""
+    """A standalone context module: same variables, the first hidden
+    variable's domain extended with the channel's fresh values; body
+    writes the channel's output into that variable at v' and a constant
+    elsewhere, then pins every other hidden variable to a constant."""
     scope = Scope.of_module(module)
-    if len(scope.hidden) != 1:
-        raise UnsupportedConstruct("attack synthesis handles one hidden variable")
-    hdecl = scope.hidden[0]
-    extended = list(hdecl.domain.values)
-    for val in channel.columns:
-        if val not in extended:
-            extended.append(val)
-    decls = []
-    for d in module.decls:
-        if d.name == hdecl.name:
-            decls.append(A.VarDecl(d.name, Domain(d.name, tuple(extended)), d.visibility))
-        else:
-            decls.append(d)
-
-    guard: Optional[A.Expr] = None
-    for decl, val in zip(scope.visible, trigger_v):
-        term = A.Binop("=", A.Name(decl.name), A.Lit(val))
-        guard = term if guard is None else A.Binop("and", guard, term)
-    if guard is None:
-        guard = A.Lit(Value("bool", True))
-
-    # constancy is all that matters for the else branch
-    zero = vnum(0)
-    else_value = zero if zero in hdecl.domain.values else hdecl.domain.values[0]
-    body = A.Cond(
-        guard,
-        A.Choose(hdecl.name, channel_choose_dist(channel, hdecl.name)),
-        A.Assign(hdecl.name, A.Lit(else_value)),
+    hdecl, *others = scope.hidden
+    extended = tuple(dict.fromkeys(hdecl.domain.values + tuple(channel.columns)))
+    decls = tuple(
+        A.VarDecl(d.name, Domain(d.name, extended), d.visibility) if d.name == hdecl.name else d
+        for d in module.decls
     )
-    return A.Module(tuple(decls), body)
+    body = A.Cond(
+        _equal_to(scope.visible_names(), trigger_v),
+        A.Choose(hdecl.name, channel_choose_dist(channel, scope.hidden_names())),
+        _pin(hdecl),
+    )
+    return A.Module(decls, A.Seq(body, *map(_pin, others)) if others else body)
 
 
 def compose(module: A.Module, context: A.Module) -> A.Module:
@@ -358,8 +353,6 @@ def synthesize_and_verify(
     """Build a distinguishing context for a refinement failure and verify
     the Bayes-vulnerability gap end-to-end on the composed programs."""
     scope = Scope.of_module(spec_module)
-    if len(scope.hidden) != 1:
-        raise UnsupportedConstruct("attack synthesis handles one hidden variable")
     failure = check_refinement(eval_module(spec_module, init), eval_module(impl_module, init))
     if not isinstance(failure, NotRefined) or failure.functional_mismatch:
         raise PreconditionViolated(
@@ -372,8 +365,8 @@ def synthesize_and_verify(
         direction = separating_direction_by_vertices(pi_s, pi_i, vertex_cap)
     else:
         raise ValueError(method)
-    h_values = list(scope.hidden[0].domain.values)
-    channel = build_attack_channel(direction, pi_s, pi_i, h_values, trigger_v=failure.v)
+    h_tuples = list(itertools.product(*(d.domain.values for d in scope.hidden)))
+    channel = build_attack_channel(direction, pi_s, pi_i, h_tuples, trigger_v=failure.v)
     context = emit_context(channel, failure.v, spec_module)
     return verify_attack(spec_module, impl_module, context, failure.v, channel, init)
 

@@ -278,12 +278,14 @@ def _const_value(e: A.Expr) -> Optional[Fraction]:
         q = _const_value(e.operand)
         return None if q is None else -q
     op = A.BINOPS[e.op] if isinstance(e, A.Binop) else None
-    if op is None or not op.operand == op.result == "num":
+    if op is None or op.result != "num":
         return None
     left, right = _const_value(e.left), _const_value(e.right)
     if left is None or right is None or (op.by_zero and right == 0):
         return None
-    return op.fn(left, right)
+    if op.operand == "int" and (left.denominator != 1 or right.denominator != 1):
+        return None  # refused at run time, as a non-integer operand
+    return Fraction(op.fn(left, right))
 
 
 def validate(module: A.Module, allow_uniform_init: bool = False) -> list[Diagnostic]:

@@ -171,18 +171,12 @@ def _descending(delta: FiniteDist) -> list[Fraction]:
     return sorted((w for _, w in delta), reverse=True)
 
 
-def _hidden_count(hyper: HyperDist, n: Optional[int]) -> int:
-    biggest = max((len(s.delta) for s, _ in hyper), default=1)
-    return max(biggest, n or 0)
-
-
-def guessing_entropy(hyper: HyperDist, n_hidden: Optional[int] = None) -> Fraction:
+def guessing_entropy(hyper: HyperDist) -> Fraction:
     """Least average number of equality guesses to find the hidden value.
 
     Guessing in order of decreasing probability, the k-th guess finds the
-    value with the k-th largest probability.  `n_hidden` is the declared
-    hidden-domain size; values outside the support have probability zero
-    and never change the total.
+    value with the k-th largest probability; values outside the support
+    have probability zero and never change the total.
     """
     total = ZERO
     for s, w in hyper:
@@ -190,42 +184,39 @@ def guessing_entropy(hyper: HyperDist, n_hidden: Optional[int] = None) -> Fracti
     return total
 
 
-def marginal_guesswork(hyper: HyperDist, alpha, n_hidden: Optional[int] = None) -> int:
+def marginal_guesswork(hyper: HyperDist, alpha) -> int:
     """Least i such that i guesses succeed with probability at least alpha,
     with the guessing set chosen per split-state."""
     alpha = rat(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0,1]")
-    n = _hidden_count(hyper, n_hidden)
     # the i-th guess adds, per split-state, its i-th largest probability
     columns = [(w, _descending(s.delta)) for s, w in hyper]
     got = ZERO
-    for i in range(n):
+    for i in range(max(len(probs) for _, probs in columns)):
         got += sum((w * probs[i] for w, probs in columns if i < len(probs)), ZERO)
         if got >= alpha:
             return i + 1
-    raise AssertionError("unreachable: i = n always reaches probability 1")
+    raise AssertionError("unreachable: the largest support always reaches probability 1")
 
 
 def measure_value(
     hyper: HyperDist,
     measure: MeasureKind,
     precision: int = DEFAULT_PRECISION_BITS,
-    n_hidden: Optional[int] = None,
 ):
     """The measure of one hyper-distribution, the only place a
     `MeasureKind` becomes a value: Bayes vulnerability and guessing
     entropy as a Fraction, Shannon entropy as a `ShannonValue` at
     `precision` bits, marginal guesswork at `measure.alpha` as an int.
-    `n_hidden` is passed on to the guessing measures.
     """
     if measure.kind == "bayes":
         return bayes_vuln(hyper)
     if measure.kind == "shannon":
         return shannon_entropy(hyper, precision)
     if measure.kind == "gentropy":
-        return guessing_entropy(hyper, n_hidden)
-    return marginal_guesswork(hyper, measure.alpha, n_hidden)
+        return guessing_entropy(hyper)
+    return marginal_guesswork(hyper, measure.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +249,6 @@ def elementary_compare(
     impl: HyperDist,
     measure: MeasureKind,
     precision: int = DEFAULT_PRECISION_BITS,
-    n_hidden: Optional[int] = None,
 ) -> CompareVerdict:
     """Elementary testing order: functional equality plus no loss of
     uncertainty from spec to impl (for Bayes: no gain of vulnerability)."""
@@ -269,8 +259,8 @@ def elementary_compare(
     shannon = measure.kind == "shannon"
     if shannon and spec == impl:
         return CompareVerdict("Holds")  # reflexivity, without the inexact values
-    sv = measure_value(spec, measure, precision, n_hidden)
-    iv = measure_value(impl, measure, precision, n_hidden)
+    sv = measure_value(spec, measure, precision)
+    iv = measure_value(impl, measure, precision)
     if shannon:
         # compare the rigorous enclosures and refuse to guess when they overlap
         if iv.lo >= sv.hi:

@@ -109,7 +109,7 @@ def _cli_check(corpus_dir: Path, argv, code, fields) -> bool:
 
 
 def _delta(pairs) -> FiniteDist:
-    """A distribution over one hidden variable from (value, p) pairs."""
+    """A distribution over single-value hidden tuples from (value, p) pairs."""
     return FiniteDist([((vnum(h),), q) for h, q in pairs])
 
 
@@ -167,7 +167,7 @@ def library_checks(corpus_dir: Path) -> list:
     def guesswork_pair():
         ds = _hyper_dist(0, (half, [(0, 1)]), (half, [(k, F(1, 4)) for k in (1, 2, 3, 4)]))
         di = _hyper_dist(0, (1, [(0, half)] + [(k, F(1, 8)) for k in (1, 2, 3, 4)]))
-        return marginal_guesswork(ds, half, 5) == 1 == marginal_guesswork(di, half, 5)
+        return marginal_guesswork(ds, half) == 1 == marginal_guesswork(di, half)
 
     def infix_sugar():
         entries = parse_program("h <- 0 [1/3] 1").dist.entries

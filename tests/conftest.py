@@ -202,16 +202,23 @@ def rand_program(
     in_atomic: bool = False,
     v_dom: int = 2,
     h_dom: int = 3,
+    k_dom: int = 0,
 ) -> A.Program:
-    """Random program over `vis v : {0..v_dom-1}; hid h : {0..h_dom-1}`."""
-    names = ["v", "h"]
+    """Random program over `vis v : {0..v_dom-1}; hid h : {0..h_dom-1}`,
+    plus `hid k : {0..k_dom-1}` when k_dom > 0; with k_dom = 0 a seed
+    draws the same program as it would without the parameter."""
+    names = ["v", "h", "k"] if k_dom else ["v", "h"]
+    moduli = {"v": v_dom, "h": h_dom, "k": k_dom}
+
+    def sub(allow_local=allow_local, in_atomic=in_atomic):
+        return rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom, k_dom)
 
     def leaf():
         roll = rng.random()
         if roll < 0.15:
             return A.Skip()
-        target = rng.choice(["v", "h"])
-        modulus = v_dom if target == "v" else h_dom
+        target = rng.choice(names)
+        modulus = moduli[target]
         if roll < 0.55:
             return A.Assign(target, _rand_int_expr(rng, names, modulus))
         return A.Choose(target, _rand_dist(rng, names, list(range(modulus))))
@@ -222,26 +229,13 @@ def rand_program(
     if roll < 0.30:
         return leaf()
     if roll < 0.55:
-        return A.Seq(
-            rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-            rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-        )
+        return A.Seq(sub(), sub())
     if roll < 0.70:
-        return A.GeneralChoice(
-            rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-            _rand_prob(rng, names, h_dom),
-            rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-        )
+        return A.GeneralChoice(sub(), _rand_prob(rng, names, h_dom), sub())
     if roll < 0.85:
-        return A.Cond(
-            _rand_guard(rng, names, h_dom),
-            rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-            rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-        )
+        return A.Cond(_rand_guard(rng, names, h_dom), sub(), sub())
     if roll < 0.95 or not allow_local or in_atomic:
-        return A.Atomic(
-            rand_program(rng, depth - 1, allow_local=False, in_atomic=True, v_dom=v_dom, h_dom=h_dom)
-        )
+        return A.Atomic(sub(allow_local=False, in_atomic=True))
     name = f"t{rng.randint(0, 999)}"
     decl = A.VarDecl(
         name,
@@ -249,10 +243,7 @@ def rand_program(
         A.VIS if rng.random() < 0.5 else A.HID,
     )
     init = A.DistUniform((A.Lit(vnum(0)), A.Lit(vnum(1))))
-    return A.LocalBlock(
-        (A.LocalDecl(decl, init),),
-        rand_program(rng, depth - 1, allow_local, in_atomic, v_dom, h_dom),
-    )
+    return A.LocalBlock((A.LocalDecl(decl, init),), sub())
 
 
 def rand_context(rng: random.Random, depth: int = 2):
@@ -274,7 +265,11 @@ def rand_context(rng: random.Random, depth: int = 2):
     return lambda p: A.Seq(A.Cond(g, p, other), post)
 
 
-def rand_small_init(rng: random.Random, v_dom: int = 2, h_dom: int = 3) -> SplitState:
+def rand_small_init(
+    rng: random.Random, v_dom: int = 2, h_dom: int = 3, k_dom: int = 0
+) -> SplitState:
+    """Random split-state over the scope of `rand_program` with the same domains."""
     v = (vnum(rng.randrange(v_dom)),)
-    delta = rand_full_dist(rng, [(vnum(k),) for k in range(h_dom)])
-    return SplitState(v, delta)
+    domains = [range(h_dom), range(k_dom)] if k_dom else [range(h_dom)]
+    hidden = [tuple(map(vnum, t)) for t in itertools.product(*domains)]
+    return SplitState(v, rand_full_dist(rng, hidden))

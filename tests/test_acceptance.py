@@ -260,10 +260,10 @@ def test_criterion_5_alternative_measures():
         assert elementary_compare(ci2, cs, SHANNON).kind == "FailsMeasure"
 
         # guessing entropy 4/3 vs 4/3; under the context 7/6 vs 4/3
-        assert guessing_entropy(s, 3) == F(4, 3)
-        assert guessing_entropy(i2, 3) == F(4, 3)
-        assert guessing_entropy(cs, 3) == F(7, 6)
-        assert guessing_entropy(ci2, 3) == F(4, 3)
+        assert guessing_entropy(s) == F(4, 3)
+        assert guessing_entropy(i2) == F(4, 3)
+        assert guessing_entropy(cs) == F(7, 6)
+        assert guessing_entropy(ci2) == F(4, 3)
         assert elementary_compare(i2, s, GENTROPY).kind == "Holds"
         assert elementary_compare(ci2, cs, GENTROPY).kind == "FailsMeasure"
 
@@ -278,23 +278,23 @@ def test_criterion_5_alternative_measures():
         di = hyper(
             [((v, [(ht(0), F(1, 2))] + [(ht(k), F(1, 8)) for k in (1, 2, 3, 4)]), F(1))]
         )
-        assert marginal_guesswork(ds, F(1, 2), 5) == 1
-        assert marginal_guesswork(di, F(1, 2), 5) == 1
+        assert marginal_guesswork(ds, F(1, 2)) == 1
+        assert marginal_guesswork(di, F(1, 2)) == 1
 
         # parametric non-compositionality of guesswork at alpha=1/2, N=3
         s_src, i_src, f2ctx = _f2_programs()
         init = SplitState(BOT, FiniteDist.point((vnum(0),)))
         hs_ = run_source(s_src, init)
         hi_ = run_source(i_src, init)
-        assert marginal_guesswork(hs_, F(1, 2), 6) == 2
-        assert marginal_guesswork(hi_, F(1, 2), 6) == 2
-        assert elementary_compare(hs_, hi_, guesswork(F(1, 2)), n_hidden=6).kind == "Holds"
+        assert marginal_guesswork(hs_, F(1, 2)) == 2
+        assert marginal_guesswork(hi_, F(1, 2)) == 2
+        assert elementary_compare(hs_, hi_, guesswork(F(1, 2))).kind == "Holds"
         cs_ = run_source(s_src + "; " + f2ctx, init)
         ci_ = run_source(i_src + "; " + f2ctx, init)
-        assert marginal_guesswork(cs_, F(1, 2), 6) == 2
-        assert marginal_guesswork(ci_, F(1, 2), 6) == 1
+        assert marginal_guesswork(cs_, F(1, 2)) == 2
+        assert marginal_guesswork(ci_, F(1, 2)) == 1
         assert (
-            elementary_compare(cs_, ci_, guesswork(F(1, 2)), n_hidden=6).kind
+            elementary_compare(cs_, ci_, guesswork(F(1, 2))).kind
             == "FailsMeasure"
         )
 
@@ -329,9 +329,9 @@ def test_criterion_6_property_suites():
             assert bayes_vuln(h2) <= bayes_vuln(h1)
             s1, s2 = shannon_entropy(h1), shannon_entropy(h2)
             assert s2.hi >= s1.lo - TOL
-            assert guessing_entropy(h2, 4) >= guessing_entropy(h1, 4)
+            assert guessing_entropy(h2) >= guessing_entropy(h1)
             for alpha in alphas:
-                assert marginal_guesswork(h2, alpha, 4) >= marginal_guesswork(h1, alpha, 4)
+                assert marginal_guesswork(h2, alpha) >= marginal_guesswork(h1, alpha)
 
         # (b) monotonicity of refinement under 500 random contexts
         rng = random.Random(602)
@@ -372,9 +372,8 @@ def test_criterion_6_property_suites():
             attacks += 1
             # (e): whenever a non-Bayes order already fails, the synthesized
             # context makes the Bayes order fail -- which it just did
-            n = h_dom
             for kind in (SHANNON, GENTROPY, guesswork(F(1, 2))):
-                cv = elementary_compare(hs, hi, kind, n_hidden=n)
+                cv = elementary_compare(hs, hi, kind)
                 if cv.kind == "FailsMeasure":
                     other_order_failures += 1
                     assert report.verdict

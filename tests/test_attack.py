@@ -1,10 +1,12 @@
 """Separating directions, channel construction, end-to-end attacks."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import ht, load, p_init, run_module
+from hyperflow import attack
 from hyperflow.attack import (
     build_attack_channel,
     compose,
@@ -16,10 +18,10 @@ from hyperflow.attack import (
 )
 from hyperflow.errors import NotSeparable, PreconditionViolated, UnsupportedConstruct
 from hyperflow.lang import ast as A
-from hyperflow.lang import desugar, parse, parse_program, pretty_print
+from hyperflow.lang import desugar, parse, parse_program, pretty_print, project_view
 from hyperflow.matrix import RatMatrix
 from hyperflow.measures import BAYES, bayes_vuln, elementary_compare
-from hyperflow.probcore import FiniteDist, vnum
+from hyperflow.probcore import FiniteDist, vbool, vnum
 from hyperflow.refine import bv_partition, extract_partition
 from hyperflow.semantics import Scope, SplitState
 from hyperflow.semantics import eval as eval_hyper
@@ -100,8 +102,7 @@ def test_separation_refused_for_refining_pair():
 def test_channel_rows_are_one_summing_and_positive_on_targets():
     pi_s, pi_i = paper_partitions()
     d = separating_direction_from_certificate(pi_s, pi_i)
-    hvals = [vnum(1), vnum(2), vnum(3)]
-    ch = build_attack_channel(d, pi_s, pi_i, hvals)
+    ch = build_attack_channel(d, pi_s, pi_i, [ht(1), ht(2), ht(3)])
     for h, row in ch.rows.items():
         assert sum(row, F(0)) == 1
         assert all(q >= 0 for q in row)
@@ -135,8 +136,7 @@ def test_channel_from_published_normal_matches_paper_matrix():
 def test_fresh_split_values_never_attract_a_guess():
     pi_s, pi_i = paper_partitions()
     d = separating_direction_from_certificate(pi_s, pi_i)
-    hvals = [vnum(1), vnum(2), vnum(3)]
-    ch = build_attack_channel(d, pi_s, pi_i, hvals)
+    ch = build_attack_channel(d, pi_s, pi_i, [ht(1), ht(2), ht(3)])
     n_targets = len(pi_i)
     for pi in (pi_s, pi_i):
         for f in pi.fractions:
@@ -163,13 +163,54 @@ def test_synthesize_precondition_guard():
         synthesize_and_verify(load("P2"), load("P2"), p_init())
 
 
-def test_synthesis_rejects_two_hidden_variables_before_evaluating():
-    # spec refines impl here, so a late check would report the precondition
-    m = parse("vis v : {0..1}; hid h : {0..1}; hid k : {0..1}; v := h")
-    hidden = [(vnum(a), vnum(b)) for a in (0, 1) for b in (0, 1)]
-    init = SplitState((vnum(0),), FiniteDist.uniform(hidden))
+def test_synthesis_rejects_unsupported_input_before_evaluating(monkeypatch):
+    # an agent-annotated module has no scope until a view is projected
+    def evaluated(*_):
+        raise AssertionError("evaluated an unsupported module")
+
+    monkeypatch.setattr(attack, "eval_module", evaluated)
+    m = load("three_judges_spec")
+    hidden = list(itertools.product([vbool(False), vbool(True)], repeat=2))
+    init = SplitState((vbool(False),), FiniteDist.uniform(hidden))
     with pytest.raises(UnsupportedConstruct):
         synthesize_and_verify(m, m, init)
+
+
+def _uniform_init(v, *hidden_domains):
+    return SplitState(v, FiniteDist.uniform(list(itertools.product(*hidden_domains))))
+
+
+TWO_HIDDEN = "vis v : {0..1}; hid h : {0..1}; hid k : {0..1}; "
+
+
+@pytest.mark.parametrize("method", ["farkas", "vertices"])
+def test_attack_on_two_hidden_variables(method):
+    spec, impl = parse(TWO_HIDDEN + "skip"), parse(TWO_HIDDEN + "reveal h")
+    bit = [vnum(0), vnum(1)]
+    init = _uniform_init((vnum(0),), bit, bit)
+    rep = synthesize_and_verify(spec, impl, init, method=method)
+    assert rep.verdict
+    assert set(rep.channel.rows) == set(itertools.product(bit, bit))
+    reparsed = parse(pretty_print(rep.context))
+    rep2 = verify_attack(spec, impl, reparsed, rep.trigger_v, None, init)
+    assert (rep2.bv_spec, rep2.bv_impl) == (rep.bv_spec, rep.bv_impl)
+
+
+@pytest.mark.parametrize(
+    "method, gap", [("farkas", (F(1, 4), F(9, 28))), ("vertices", (F(5, 18), F(1, 3)))]
+)
+def test_attack_on_a_judges_view_of_three_judges(method, gap):
+    # judge A sees a and the majority; the impl also reveals judge B's vote
+    spec = project_view(load("three_judges_spec"), "A")
+    impl = A.Module(spec.decls, A.Seq(spec.body, parse_program("reveal b")))
+    vote = [vbool(False), vbool(True)]
+    init = _uniform_init((vbool(True),), vote, vote)
+    rep = synthesize_and_verify(spec, impl, init, method=method)
+    assert rep.verdict
+    assert (rep.bv_spec, rep.bv_impl) == gap
+    reparsed = parse(pretty_print(rep.context))
+    rep2 = verify_attack(spec, impl, reparsed, rep.trigger_v, None, init)
+    assert (rep2.bv_spec, rep2.bv_impl) == gap
 
 
 def test_attack_context_reparses_to_same_vulnerabilities():

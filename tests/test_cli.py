@@ -182,6 +182,24 @@ def test_attack_writes_context(tmp_path, capsys):
     parse(ctx_file.read_text())  # emitted context is valid source
 
 
+def test_attack_on_two_hidden_variables(tmp_path, capsys):
+    header = "vis v : {0..1};\nhid h : {0..1};\nhid k : {0..1};\n"
+    (tmp_path / "spec.hprog").write_text(header + "skip\n")
+    (tmp_path / "impl.hprog").write_text(header + "reveal h\n")
+    code, out, _ = invoke(
+        capsys,
+        "attack",
+        str(tmp_path / "spec.hprog"),
+        str(tmp_path / "impl.hprog"),
+        "--init",
+        "v=0; h~uniform; k~uniform",
+        "-o",
+        str(tmp_path / "ctx.hprog"),
+    )
+    assert code == 0 and json.loads(out)["verdict"]
+    assert "h = 0 and k = 0" in (tmp_path / "ctx.hprog").read_text()
+
+
 def test_view_agent_and_external(capsys):
     code, out, _ = invoke(capsys, "view", str(CORPUS / "three_judges_spec.hprog"), "--agent", "A")
     assert code == 0 and "vis a" in out and "hid b" in out

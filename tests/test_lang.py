@@ -156,6 +156,10 @@ def test_validate_reveal_in_atomic_rejected():
 def test_validate_division_by_constant_zero():
     m = parse("vis v : {0..1}; v := v div 0")
     assert any(d.code == "DivisionByZero" for d in validate(m))
+    m = parse("vis v : {0..1}; v := v div (2 div 2 - 1)")
+    assert any(d.code == "DivisionByZero" for d in validate(m))
+    m = parse("vis v : {0..1}; v := v mod (3 mod 3)")
+    assert any(d.code == "DivisionByZero" for d in validate(m))
 
 
 # -- views -------------------------------------------------------------------

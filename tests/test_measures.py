@@ -146,13 +146,13 @@ def test_shannon_enclosure_is_tight():
 
 
 def test_gentropy_paper_values():
-    assert guessing_entropy(threebox("threebox_S"), 3) == F(4, 3)
-    assert guessing_entropy(threebox("threebox_I2"), 3) == F(4, 3)
+    assert guessing_entropy(threebox("threebox_S")) == F(4, 3)
+    assert guessing_entropy(threebox("threebox_I2")) == F(4, 3)
 
 
 def test_gentropy_point_is_one():
     h = hyper([(((vnum(0),), [(ht(1), F(1))]), F(1))])
-    assert guessing_entropy(h, 3) == 1
+    assert guessing_entropy(h) == 1
 
 
 def test_gentropy_context_values():
@@ -165,8 +165,8 @@ def test_gentropy_context_values():
         m = load(name)
         return run_module(A.Module(m.decls, A.Seq(m.body, ctx)), threebox_init())
 
-    assert guessing_entropy(with_ctx("threebox_S"), 3) == F(7, 6)
-    assert guessing_entropy(with_ctx("threebox_I2"), 3) == F(4, 3)
+    assert guessing_entropy(with_ctx("threebox_S")) == F(7, 6)
+    assert guessing_entropy(with_ctx("threebox_I2")) == F(4, 3)
 
 
 def test_gentropy_against_brute_force_guess_orders():
@@ -176,7 +176,7 @@ def test_gentropy_against_brute_force_guess_orders():
         delta = rand_full_dist(rng, hvals)
         h = hyper([(((vnum(0),), list(delta.items())), F(1))])
         probs = [q for _, q in delta.items()] + [F(0)] * (4 - len(delta))
-        assert guessing_entropy(h, 4) == brute_force_guess_count(probs)
+        assert guessing_entropy(h) == brute_force_guess_count(probs)
     # several split-states, partial supports, hidden domains up to 6
     for _ in range(20):
         n = rng.randint(1, 6)
@@ -190,14 +190,14 @@ def test_gentropy_against_brute_force_guess_orders():
             ),
             F(0),
         )
-        assert guessing_entropy(h, n) == expected
+        assert guessing_entropy(h) == expected
 
 
 def test_gentropy_at_least_one_equality_iff_points():
     rng = random.Random(9)
     for _ in range(25):
         h = rand_hyper(rng, [vnum(0)], [vnum(k) for k in range(3)])
-        g = guessing_entropy(h, 3)
+        g = guessing_entropy(h)
         assert g >= 1
         assert (g == 1) == all(len(s.delta) == 1 for s, _ in h.items())
 
@@ -236,14 +236,14 @@ def paper_guesswork_pair():
 
 def test_guesswork_paper_pair_both_one():
     ds, di = paper_guesswork_pair()
-    assert marginal_guesswork(ds, F(1, 2), 5) == 1
-    assert marginal_guesswork(di, F(1, 2), 5) == 1
+    assert marginal_guesswork(ds, F(1, 2)) == 1
+    assert marginal_guesswork(di, F(1, 2)) == 1
 
 
 def test_guesswork_alpha_one_covers_largest_support():
     ds, di = paper_guesswork_pair()
-    assert marginal_guesswork(ds, F(1), 5) == 4
-    assert marginal_guesswork(di, F(1), 5) == 5
+    assert marginal_guesswork(ds, F(1)) == 4
+    assert marginal_guesswork(di, F(1)) == 5
 
 
 def test_guesswork_nondecreasing_in_alpha():
@@ -251,7 +251,7 @@ def test_guesswork_nondecreasing_in_alpha():
     for _ in range(20):
         h = rand_hyper(rng, [vnum(0), vnum(1)], [vnum(k) for k in range(4)])
         values = [
-            marginal_guesswork(h, F(k, 8), 4) for k in range(1, 9)
+            marginal_guesswork(h, F(k, 8)) for k in range(1, 9)
         ]
         assert values == sorted(values)
 
@@ -261,7 +261,7 @@ def test_guesswork_matches_oracle():
     for _ in range(15):
         h = rand_hyper(rng, [vnum(0)], [vnum(k) for k in range(4)])
         for alpha in (F(1, 4), F(1, 2), F(3, 4), F(1)):
-            assert marginal_guesswork(h, alpha, 4) == marginal_oracle(h, alpha, 4)
+            assert marginal_guesswork(h, alpha) == marginal_oracle(h, alpha, 4)
 
 
 def test_guesswork_matches_oracle_at_every_threshold():
@@ -280,7 +280,7 @@ def test_guesswork_matches_oracle_at_every_threshold():
                 ),
                 F(0),
             )
-            assert marginal_guesswork(h, alpha, n) == marginal_oracle(h, alpha, n) <= i
+            assert marginal_guesswork(h, alpha) == marginal_oracle(h, alpha, n) <= i
 
 
 # -- elementary comparison ----------------------------------------------------------

@@ -11,12 +11,14 @@ from conftest import (
     refine_hyper,
     small_scope_module,
 )
+from hyperflow.attack import synthesize_and_verify
 from hyperflow.lang import ast as A
-from hyperflow.lang import desugar
+from hyperflow.lang import desugar, parse
 from hyperflow.measures import bayes_vuln, shannon_entropy_partition
+from hyperflow.normalform import eval_via_normal_form
 from hyperflow.probcore import mk_dist, vnum
-from hyperflow.refine import RefinementWitness, check_refinement, refines
-from hyperflow.semantics import Scope
+from hyperflow.refine import NotRefined, RefinementWitness, check_refinement, refines
+from hyperflow.semantics import Scope, eval_module
 from hyperflow.semantics import eval as eval_hyper
 
 HVALS = [vnum(k) for k in range(3)]
@@ -124,3 +126,27 @@ def test_atomic_wrap_always_refines():
             desugar(small_scope_module(A.Atomic(p))).body, scope, s
         )
         assert refines(hyper_p, hyper_at)
+
+
+TWO_HIDDEN_HEADER = parse("vis v : {0..1}; hid h : {0..2}; hid k : {0..1}; skip")
+
+
+def test_not_refined_atomic_pairs_have_verified_attacks_over_two_hidden_variables():
+    # the closure theorem's NotRefined half: P refines to atomic{P}, so
+    # wherever atomic{P} does not refine to P some context tells them apart
+    rng = random.Random(14)
+    scope = Scope.of_module(TWO_HIDDEN_HEADER)
+    attacked = 0
+    for _ in range(120):
+        body = rand_program(rng, depth=3, allow_local=False, k_dom=2)
+        p = desugar(A.Module(TWO_HIDDEN_HEADER.decls, body))
+        spec = A.Module(p.decls, A.Atomic(p.body))
+        s = rand_small_init(rng, k_dom=2)
+        hyper_p = eval_hyper(p.body, scope, s)
+        assert eval_via_normal_form(p.body, scope, s) == hyper_p
+        if isinstance(check_refinement(eval_module(spec, s), hyper_p), NotRefined):
+            for method in ("farkas", "vertices"):
+                rep = synthesize_and_verify(spec, p, s, method=method)
+                assert rep.verdict
+            attacked += 1
+    assert attacked >= 20
