@@ -19,7 +19,7 @@ from .measures import (
     marginal_guesswork,
     shannon_entropy,
 )
-from .probcore import FiniteDist, Value, expected_value, mk_dist, normalize, posterior
+from .probcore import FiniteDist, Value, expected_value, normalize, posterior
 from .refine import (
     NotRefined,
     Partition,
@@ -39,7 +39,6 @@ from .semantics import (
     eval_atomic_block,
     eval_module,
     hide_embed,
-    reduce_hyper,
 )
 from .semantics import eval as eval_program
 
@@ -51,7 +50,6 @@ __all__ = [
     "project_view",
     "FiniteDist",
     "Value",
-    "mk_dist",
     "normalize",
     "expected_value",
     "posterior",
@@ -63,7 +61,6 @@ __all__ = [
     "classical_eval",
     "eval_atomic_block",
     "hide_embed",
-    "reduce_hyper",
     "ft",
     "bayes_vuln",
     "shannon_entropy",

@@ -32,13 +32,15 @@ from .errors import (
 from .lang import ast as A
 from .lp import LinearProgram, solve_max
 from .matrix import RatMatrix
-from .measures import bayes_vuln
+from .measures import bayes_vuln, gain_vulnerability
 from .probcore import ONE, ZERO, Domain, Value, value_key, vnum
 from .refine import (
     NotRefined,
     Partition,
+    certificate_gain,
     check_partition_refinement,
     check_refinement,
+    gain_margin,
     hidden_columns,
 )
 from .semantics import Scope, SplitState, eval_module
@@ -50,36 +52,31 @@ DEFAULT_VERTEX_CAP = 2 ** 20
 class SeparatingDirection:
     """Normal X (target fractions x hidden values) with a positive margin:
     every refinement of the source partition scores at least `margin`
-    below the target partition under the dot product with X."""
+    below the target partition under the dot product with X.
+
+    Read as a gain function with one guess per target fraction, X scores
+    the target partition `margin` above V_X of the source."""
 
     x: RatMatrix
     margin: Fraction
     h_columns: list  # hidden tuples indexing X's columns
 
-
-def _score_table(x: RatMatrix, mat_s: RatMatrix) -> list[list[Fraction]]:
-    """s[r][c] = (row r of X) . (fraction c of the source)."""
-    return [
-        [
-            sum((x[r, h] * mat_s[c, h] for h in range(x.ncols)), ZERO)
-            for c in range(mat_s.nrows)
-        ]
-        for r in range(x.nrows)
-    ]
+    @classmethod
+    def of(cls, x: RatMatrix, pi_s: Partition, pi_i: Partition) -> "SeparatingDirection":
+        """X over hidden_columns(pi_s, pi_i), with its exact margin
+        X . Pi_I - V_X(Pi_S); NotSeparable unless that margin is positive."""
+        h_columns = hidden_columns(pi_s, pi_i)
+        margin = gain_margin(x, pi_s.matrix(h_columns), pi_i.matrix(h_columns))
+        if margin <= 0:
+            raise NotSeparable("no positive-margin direction: the partitions refine")
+        return cls(x, margin, h_columns)
 
 
 def refinement_score_range(x: RatMatrix, mat_s: RatMatrix) -> tuple[Fraction, Fraction]:
     """Exact min and max of dot(M x mat_s, X) over all simple M: each source
-    fraction is assigned independently to its best (or worst) X row."""
-    s = _score_table(x, mat_s)
-    lo = sum((min(s[r][c] for r in range(x.nrows)) for c in range(mat_s.nrows)), ZERO)
-    hi = sum((max(s[r][c] for r in range(x.nrows)) for c in range(mat_s.nrows)), ZERO)
-    return lo, hi
-
-
-def _matrices(pi_s: Partition, pi_i: Partition) -> tuple[RatMatrix, RatMatrix, list]:
-    h_columns = hidden_columns(pi_s, pi_i)
-    return pi_s.matrix(h_columns), pi_i.matrix(h_columns), h_columns
+    fraction is assigned independently to its worst (or best) X row."""
+    hi = gain_vulnerability(x.rows, mat_s.rows)
+    return -gain_vulnerability(x.scale(-1).rows, mat_s.rows), hi
 
 
 def separating_direction_from_certificate(
@@ -90,22 +87,12 @@ def separating_direction_from_certificate(
     The certificate multipliers on the product equations form exactly a
     matrix X with dot(R x Pi_S, X) < dot(Pi_I, X) for every refinement R.
     """
-    mat_s, mat_i, h_columns = _matrices(pi_s, pi_i)
     if certificate is None:
         _, certificate = check_partition_refinement(pi_s, pi_i)
         if certificate is None:
             raise NotSeparable("partitions are in refinement; nothing to separate")
-    f_s, f_i, nh = mat_s.nrows, mat_i.nrows, len(h_columns)
-    # constraint layout: f_s column sums, then (r, h) product equations
-    x = RatMatrix(
-        [[certificate[f_s + r * nh + h] for h in range(nh)] for r in range(f_i)]
-    )
-    tgt = x.dot(mat_i)
-    _, hi = refinement_score_range(x, mat_s)
-    margin = tgt - hi
-    if margin <= 0:
-        raise NotSeparable("certificate did not yield a separating direction")
-    return SeparatingDirection(x, margin, h_columns)
+    x = certificate_gain(certificate, len(pi_s), len(pi_i))
+    return SeparatingDirection.of(x, pi_s, pi_i)
 
 
 def separating_direction_by_vertices(
@@ -114,7 +101,8 @@ def separating_direction_by_vertices(
     """Enumerate the vertex refinements M x Pi_S (one per assignment of
     source fractions to target rows) and maximise the separation margin
     with X entries boxed to [-1, 1]."""
-    mat_s, mat_i, h_columns = _matrices(pi_s, pi_i)
+    h_columns = hidden_columns(pi_s, pi_i)
+    mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
     f_s, f_i, nh = mat_s.nrows, mat_i.nrows, len(h_columns)
     n_vertices = f_i ** f_s
     if n_vertices > vertex_cap:
@@ -136,11 +124,10 @@ def separating_direction_by_vertices(
                 coeffs[r * nh + h] -= mat_i[r, h]
         coeffs[nx] = ONE
         lp.add(coeffs, "<=", ZERO)
-    margin, point = solve_max(lp)
-    if margin <= 0:
-        raise NotSeparable("no positive-margin hyperplane: partitions refine")
-    x = RatMatrix([[point[r * nh + h] for h in range(nh)] for r in range(f_i)])
-    return SeparatingDirection(x, margin, h_columns)
+    # at the optimum eps is the least vertex gap, which is X's exact margin
+    _, point = solve_max(lp)
+    x = RatMatrix([point[r * nh : (r + 1) * nh] for r in range(f_i)])
+    return SeparatingDirection.of(x, pi_s, pi_i)
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +174,13 @@ def build_attack_channel(
 ) -> AttackChannel:
     """Turn a separating normal into a one-summing channel matrix.
 
-    Orientation: refinements of the source must score strictly less, so
-    the normal is negated when the separation runs the other way.  Then a
-    constant shift makes every entry strictly positive, a scale bounds the
-    row sums by one, and the slack goes to fresh values -- split into
-    enough pieces that none can ever be the best guess.
+    Refinements of the source score strictly less than the target under
+    the direction, as its constructor checked.  A constant shift makes
+    every entry strictly positive, a scale bounds the row sums by one, and
+    the slack goes to fresh values -- split into enough pieces that none
+    can ever be the best guess.
     """
-    mat_s, mat_i, h_columns = _matrices(pi_s, pi_i)
-    x = direction.x
-    tgt = x.dot(mat_i)
-    lo, hi = refinement_score_range(x, mat_s)
-    if hi < tgt:
-        pass  # refinements already score below the target partition
-    elif tgt < lo:
-        x = x.scale(-1)
-    else:
-        raise NotSeparable("direction does not separate the refinement set")
+    x, h_columns = direction.x, direction.h_columns
 
     # rows: declared hidden tuples; columns: target fraction slots.
     # X columns cover only the partitions' support; other hidden tuples get
@@ -236,12 +214,10 @@ def build_attack_channel(
     # slack_r / k < m_r for every fraction of either partition
     n_split = 1 if any(s > 0 for s in slack.values()) else 0
     if n_split:
+        guesses = [[scaled[h][t] for h in h_columns] for t in range(f_i)]
         for pi in (pi_s, pi_i):
             for f in pi.fractions:
-                m_r = max(
-                    sum((f[h] * scaled[h][t] for h in f.support), ZERO)
-                    for t in range(f_i)
-                )
+                m_r = gain_vulnerability(guesses, [[f[h] for h in h_columns]])
                 z_r = sum((f[h] * slack[h] for h in f.support), ZERO)
                 if z_r == 0:
                     continue

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 verdict holds / success, 1 verdict fails, 2 usage or parse
-error (malformed argument text included), 3 internal error (any crash,
-with a one-line message).
+error (malformed argument text and unreadable files included), 3
+internal error (any crash, with a one-line message).
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ def run(argv=None) -> int:
         return USAGE if e.code else OK
     try:
         return args.fn(args)
-    except (HprogSyntaxError, InitSpecError, FileNotFoundError) as exc:
+    except (HprogSyntaxError, InitSpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (InternalError, AssertionError) as exc:

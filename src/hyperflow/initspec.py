@@ -103,10 +103,13 @@ def parse_init_spec(text: str, scope: Scope) -> InitSpec:
         clause = clause.strip()
         if not clause:
             continue
-        if "~" in clause:
-            name, rhs = clause.split("~", 1)
-            name = name.strip()
-            rhs = rhs.strip()
+        sep = "~" if "~" in clause else "=" if "=" in clause else None
+        if sep is None:
+            raise InitSpecError(f"cannot parse clause {clause!r}")
+        name, rhs = (part.strip() for part in clause.split(sep, 1))
+        if name in assignments or name in priors:
+            raise InitSpecError(f"{name} is given more than once")
+        if sep == "~":
             if name not in hid:
                 raise InitSpecError(f"{name} is not a hidden variable")
             domain = hid[name].domain
@@ -118,14 +121,10 @@ def parse_init_spec(text: str, scope: Scope) -> InitSpec:
                 priors[name] = Prior("explicit", dist=_parse_explicit(rhs, domain))
             else:
                 priors[name] = Prior("point", value=_parse_value(rhs, domain))
-        elif "=" in clause:
-            name, rhs = clause.split("=", 1)
-            name = name.strip()
+        else:
             if name not in vis:
                 raise InitSpecError(f"{name} is not a visible variable")
             assignments[name] = _parse_value(rhs, vis[name].domain)
-        else:
-            raise InitSpecError(f"cannot parse clause {clause!r}")
     missing = [n for n in vis if n not in assignments]
     if missing:
         raise InitSpecError(f"visible variables without a value: {', '.join(missing)}")

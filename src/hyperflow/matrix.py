@@ -85,7 +85,7 @@ class RatMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dot of differently shaped matrices")
         return sum(
-            (a * b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)),
+            (a * b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb) if a),
             ZERO,
         )
 

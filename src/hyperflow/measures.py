@@ -84,6 +84,18 @@ def bayes_vuln(hyper: HyperDist) -> Fraction:
     return sum((w * s.delta.max_weight() for s, w in hyper), ZERO)
 
 
+def gain_vulnerability(gain, rows) -> Fraction:
+    """V_g: the sum over rows f of the best guess's expected gain, max over
+    guess rows w of sum_j w[j] * f[j] (Alvim et al., CSF 2012).
+
+    Rows are fractions over a shared hidden-value column order, and a gain
+    is one row per guess over the same columns.  The identity gain gives
+    Bayes vulnerability.  The only max over guesses of a dot product.
+    """
+    guesses = [[(j, g) for j, g in enumerate(w) if g] for w in gain]
+    return sum((max(sum((g * f[j] for j, g in w), ZERO) for w in guesses) for f in rows), ZERO)
+
+
 # ---------------------------------------------------------------------------
 # Shannon entropy (the one inexact measure)
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .semantics import (
     _consts,
     _env_of,
     _split_state,
-    reduce_hyper,
 )
 
 
@@ -163,7 +162,7 @@ def eval_via_normal_form(p: A.Program, scope: Scope, s: SplitState) -> HyperDist
             raise InternalError("normal-form row is not V-unique")
         st, w = _split_state(index.v_tuples[places.pop()], [(index.pairs[j][1], x) for j, x in row.items()])
         pairs.append((st, w))
-    return reduce_hyper(pairs)
+    return HyperDist(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -239,11 +239,6 @@ class FiniteDist:
         return FiniteDist([(f(v), w) for v, w in self])
 
 
-def mk_dist(pairs: Iterable[tuple[object, Fraction]]) -> FiniteDist:
-    """Explicit-distribution constructor; duplicate points add their weights."""
-    return FiniteDist(pairs)
-
-
 def normalize(d: FiniteDist) -> FiniteDist:
     """Scale d by 1/weight(d); the result is a full distribution."""
     if d.weight == 0:

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .errors import InternalError, NotRefinementMatrix
 from .lp import Feasible, LinearProgram, solve_feasibility, to_integers
 from .matrix import RatMatrix
-from .measures import ft
+from .measures import ft, gain_vulnerability
 from .probcore import ONE, ZERO, FiniteDist, normalize, value_key
 from .semantics import HyperDist
 
@@ -29,11 +29,10 @@ class Partition:
     """Canonically sorted multiset of fractions for one visible value."""
 
     fractions: tuple[FiniteDist, ...]
-    reduced: bool = False
 
     @classmethod
-    def of(cls, fractions, reduced=False) -> "Partition":
-        return cls(tuple(sorted(fractions, key=value_key)), reduced)
+    def of(cls, fractions) -> "Partition":
+        return cls(tuple(sorted(fractions, key=value_key)))
 
     @property
     def weight(self) -> Fraction:
@@ -62,7 +61,7 @@ def extract_partition(hyper: HyperDist, v) -> Partition:
     with the same v and similar inner distributions.
     """
     fractions = [s.delta.scale(w) for s, w in hyper if s.v == v]
-    return Partition.of(fractions, reduced=True)
+    return Partition.of(fractions)
 
 
 def reduce_partition(pi: Partition) -> Partition:
@@ -78,7 +77,7 @@ def reduce_partition(pi: Partition) -> Partition:
         for f in fs[1:]:
             total = total.add(f)
         out.append(total)
-    return Partition.of(out, reduced=True)
+    return Partition.of(out)
 
 
 def similar(pi1: Partition, pi2: Partition) -> bool:
@@ -118,8 +117,8 @@ def refinement_lp(mat_s: RatMatrix, mat_i: RatMatrix) -> LinearProgram:
 
     Variable order: R[r][c] at index r*rows(S) + c.  Constraint order:
     rows(S) column-sum equations first, then the product equations in
-    (target row, hidden column) order -- attack synthesis relies on this
-    layout when reading the Farkas certificate.
+    (target row, hidden column) order -- certificate_gain reads a Farkas
+    certificate's gain off this layout.
 
     check_partition_refinement solves it on a column basis of the hidden
     values (independent_columns), since the other columns' product
@@ -179,41 +178,41 @@ def independent_columns(mat_s: RatMatrix, mat_i: RatMatrix) -> list[int]:
     return kept
 
 
-def _verify_refinement_certificate(mat_s: RatMatrix, mat_i: RatMatrix, y: list):
-    """Farkas conditions of y for refinement_lp(mat_s, mat_i), read off the
-    matrices without building the LP.  With u on the column sums and z[r]
-    on row r's product equations (all equations, so y is free): y.A <= 0 is
-    u[c] + z[r] . mat_s[c] <= 0 for every R[r][c], y.b > 0 is
-    sum(u) + sum_r z[r] . mat_i[r] > 0."""
-    f_s, nh = mat_s.nrows, mat_s.ncols
-    if len(y) != f_s + mat_i.nrows * nh:
-        raise InternalError("certificate length mismatch")
-    u, zs = y[:f_s], [y[f_s + r * nh : f_s + (r + 1) * nh] for r in range(mat_i.nrows)]
-    for z in zs:
-        for uc, row_s in zip(u, mat_s.rows):
-            if uc + sum((zh * s for zh, s in zip(z, row_s) if zh), ZERO) > 0:
-                raise InternalError("certificate violates y.A <= 0")
-    gain = sum(u, ZERO) + sum(
-        (zh * t for z, row_i in zip(zs, mat_i.rows) for zh, t in zip(z, row_i) if zh), ZERO
-    )
-    if gain <= 0:
-        raise InternalError("certificate violates y.b > 0")
+def certificate_gain(certificate: list, f_s: int, f_i: int) -> RatMatrix:
+    """The gain X a refinement_lp certificate carries: its multipliers on
+    the product equations, one guess row per target fraction and one column
+    per hidden value.  The one reader of the certificate layout."""
+    z = certificate[f_s:]
+    nh = len(z) // f_i
+    return RatMatrix([z[r * nh : (r + 1) * nh] for r in range(f_i)])
+
+
+def gain_margin(x: RatMatrix, mat_s: RatMatrix, mat_i: RatMatrix) -> Fraction:
+    """X . Pi_I - V_X(Pi_S).  A positive margin proves that no
+    column-stochastic R has R x Pi_S = Pi_I: every such product scores at
+    most V_X(Pi_S) under X, as each source fraction goes to its best guess.
+
+    A Farkas certificate (u, X) of refinement_lp has a positive margin,
+    since u[c] <= -max_r X[r] . Pi_S[c] and sum(u) + X . Pi_I > 0."""
+    return x.dot(mat_i) - gain_vulnerability(x.rows, mat_s.rows)
 
 
 def _full_certificate(cert: list, mat_s: RatMatrix, mat_i: RatMatrix, kept: list[int]) -> list:
     """Spread the certificate of the LP on the kept columns over
     refinement_lp's full layout, with zero multipliers on the dropped
-    product equations, and verify it against the full LP's Farkas
-    conditions."""
+    product equations.  The zeros change neither y.A nor y.b, so the full
+    certificate is as valid as the verified reduced one; its gain must
+    still separate the full partitions."""
     f_s, f_i, nh = mat_s.nrows, mat_i.nrows, mat_s.ncols
     if len(kept) == nh:
         return cert
-    full = cert[:f_s] + [ZERO] * (f_i * nh)
-    for r in range(f_i):
-        for k, h in enumerate(kept):
-            full[f_s + r * nh + h] = cert[f_s + r * len(kept) + k]
-    _verify_refinement_certificate(mat_s, mat_i, full)
-    return full
+    padded = [[ZERO] * nh for _ in range(f_i)]
+    for row, reduced_row in zip(padded, certificate_gain(cert, f_s, f_i).rows):
+        for h, q in zip(kept, reduced_row):
+            row[h] = q
+    if gain_margin(RatMatrix(padded), mat_s, mat_i) <= 0:
+        raise InternalError("padded certificate does not separate the partitions")
+    return cert[:f_s] + [q for row in padded for q in row]
 
 
 def check_partition_refinement(

@@ -108,7 +108,11 @@ class HyperDist(FiniteDist):
 
     Only the weight-1 check, the `Hyper{..}` repr and `visible_values` are
     its own; iteration, equality, hashing and `items()` (in the canonical
-    order of `SplitState.key`) are the distribution's.
+    order of `SplitState.key`) are the distribution's.  Construction
+    merges equal split-states and drops zero weights.  Only *equal*
+    (v, delta) pairs merge; similar-but-unequal inner distributions stay
+    separate, since telling them apart is exactly the attacker power the
+    model grants.
     """
 
     __slots__ = ()
@@ -123,16 +127,6 @@ class HyperDist(FiniteDist):
 
     def visible_values(self) -> list[tuple[Value, ...]]:
         return sorted({s.v for s, _ in self}, key=value_key)
-
-
-def reduce_hyper(pairs) -> HyperDist:
-    """Merge equal split-states and drop zero weights.
-
-    Only *equal* (v, delta) pairs merge; similar-but-unequal inner
-    distributions stay separate, since telling them apart is exactly the
-    attacker power the model grants.
-    """
-    return HyperDist(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +416,7 @@ def eval_module(module: A.Module, s: SplitState) -> HyperDist:
 
 def _then(hyper: HyperDist, p, scope: Scope, consts) -> HyperDist:
     """Run p from each split-state of hyper, merging equal outcomes."""
-    return reduce_hyper(
+    return HyperDist(
         [(st2, w * w2) for st, w in hyper for st2, w2 in _eval(p, scope, st, consts)]
     )
 
@@ -453,7 +447,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
             if entries:
                 st, prob = _split_state(s.v, entries)
                 acc += [(st2, prob * w2) for st2, w2 in _eval(branch, scope, st, consts)]
-        return reduce_hyper(acc)
+        return HyperDist(acc)
     if isinstance(p, A.LocalBlock):
         steps, inner_consts = _block(p, scope)
         hyper = HyperDist.point(s)
@@ -462,7 +456,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
         # exit: erase local visibles from v (their observations persist as
         # outer splitting), then marginalise local hiddens out of delta
         nv, nh = len(scope.visible), len(scope.hidden)
-        return reduce_hyper(
+        return HyperDist(
             [(SplitState(st.v[:nv], st.delta.map(lambda h: h[:nh])), w) for st, w in hyper]
         )
     if isinstance(p, (A.Reveal, A.XorAssign)):

@@ -114,8 +114,8 @@ def test_channel_from_published_normal_matches_paper_matrix():
     pi_s, pi_i = paper_partitions()
     hvals = [vnum(1), vnum(2), vnum(3)]
     x = paper_normal_one()
-    # orientation flips inside build_attack_channel; shift/scale choices are
-    # the implementation's own, so rebuild the paper's exact steps by hand
+    # the paper's normal separates the other way round, and shift/scale
+    # choices are the implementation's own, so rebuild its steps by hand
     oriented = x.scale(-1)
     d0 = oriented.transpose()
     shifted = d0.add_scalar(3)

@@ -365,6 +365,8 @@ _COMPARE = ("compare", str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog"), "--in
         (_COMPARE + ("bogus",), None),
         (_COMPARE + ("elementary",), None),
         (_COMPARE + ("elementary:guesswork:2",), None),
+        (_EVAL_P4 + ("v=0; v=1; h~uniform",), None),
+        (_EVAL_P4 + ("v=0; h~uniform; h~1",), None),
     ],
     ids=[
         "sample:0",
@@ -380,6 +382,8 @@ _COMPARE = ("compare", str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog"), "--in
         "order-bogus",
         "order-elementary",
         "order-guesswork:2",
+        "init-v-twice",
+        "init-h-twice",
     ],
 )
 def test_malformed_argument_text_is_a_usage_error(capsys, monkeypatch, argv, precision_env):
@@ -388,6 +392,23 @@ def test_malformed_argument_text_is_a_usage_error(capsys, monkeypatch, argv, pre
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_files_are_usage_errors(tmp_path, capsys):
+    """A directory, or bytes that are not text, where a program file or the
+    context file belongs: exit 2 with one `error:` line."""
+    undecodable = tmp_path / "bytes.hprog"
+    undecodable.write_bytes(b"\xff\xfe")
+    p4, p2 = str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog")
+    for argv in (
+        ("eval", str(tmp_path), "--init", "v=0; h~uniform"),
+        ("parse", str(tmp_path)),
+        ("parse", str(undecodable)),
+        ("attack", p4, p2, "--init", "v=0; h~uniform", "-o", str(tmp_path)),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 _S, _ENC = str(CORPUS / "threebox_S.hprog"), str(CORPUS / "encryption_lemma.hprog")

@@ -1,7 +1,10 @@
-"""Source hygiene: no top-level helper in the package goes unused."""
+"""Source hygiene: no top-level helper in the package goes unused, and every
+function the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +61,18 @@ def test_every_top_level_definition_is_referenced():
         if words[name] == _words(own)[name]:
             unused.append(dotted)
     assert unused == []
+
+
+def test_every_traced_function_exists(monkeypatch):
+    # perfbench/spans.py wraps these by module and name; a rename would pass
+    # the suite and break only a traced benchmark run
+    spec = importlib.util.spec_from_file_location("_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{mod_name}.{fn_name}"
+        for mod_name, fn_name, _, _ in spans.TARGETS
+        if not callable(getattr(importlib.import_module(mod_name), fn_name, None))
+    ]
+    assert spans.TARGETS and missing == []

@@ -58,6 +58,13 @@ def test_every_variable_must_be_covered():
         parse_init_spec("h~uniform", scope)
 
 
+@pytest.mark.parametrize("text", ["v=bot; v=w; h~uniform", "v=bot; h~uniform; h~1", "v=bot; h~1; h ~ 1"])
+def test_a_variable_given_twice_is_refused(text):
+    # the later clause must not silently replace the earlier one
+    with pytest.raises(InitSpecError, match=r"\b[vh] is given more than once"):
+        parse_init_spec(text, threebox_scope())
+
+
 def test_value_outside_domain_rejected():
     scope = threebox_scope()
     with pytest.raises(InitSpecError):

@@ -22,7 +22,7 @@ from hyperflow.measures import (
     marginal_guesswork,
     shannon_entropy,
 )
-from hyperflow.probcore import FiniteDist, mk_dist, vnum, vsym
+from hyperflow.probcore import FiniteDist, vnum, vsym
 from hyperflow.refine import extract_partition, bv_partition
 from hyperflow.semantics import HyperDist, SplitState
 
@@ -104,7 +104,7 @@ def test_bv_bounds_with_full_support():
             )
         h = hyper(pairs)
         assert F(1, 4) <= bayes_vuln(h) <= 1
-        marg = mk_dist(
+        marg = FiniteDist(
             [(hv, q) for (_, hv), q in ft(h).items()]
         )
         assert bayes_vuln(h) >= marg.max_weight()

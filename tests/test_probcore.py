@@ -11,7 +11,6 @@ from hyperflow.probcore import (
     FiniteDist,
     Value,
     expected_value,
-    mk_dist,
     normalize,
     posterior,
     rat_str,
@@ -23,34 +22,34 @@ from hyperflow.probcore import (
 
 
 def test_mk_dist_uniform():
-    assert mk_dist([(0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3))]) == FiniteDist.uniform([0, 1, 2])
+    assert FiniteDist([(0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3))]) == FiniteDist.uniform([0, 1, 2])
 
 
 def test_mk_dist_point():
-    d = mk_dist([(5, F(1))])
+    d = FiniteDist([(5, F(1))])
     assert d == FiniteDist.point(5)
     assert d.is_full
 
 
 def test_mk_dist_duplicates_add():
-    assert mk_dist([(0, F(1, 4)), (0, F(1, 4))]) == mk_dist([(0, F(1, 2))])
+    assert FiniteDist([(0, F(1, 4)), (0, F(1, 4))]) == FiniteDist([(0, F(1, 2))])
 
 
 def test_mk_dist_rejects_negative_and_overflow():
     with pytest.raises(NegativeWeight):
-        mk_dist([(0, F(-1, 2))])
+        FiniteDist([(0, F(-1, 2))])
     with pytest.raises(WeightOverflow):
-        mk_dist([(0, F(2, 3)), (1, F(2, 3))])
+        FiniteDist([(0, F(2, 3)), (1, F(2, 3))])
 
 
 def test_zero_weights_dropped():
-    d = mk_dist([(0, F(0)), (1, F(1, 2))])
+    d = FiniteDist([(0, F(0)), (1, F(1, 2))])
     assert d.support == (1,)
     assert d.weight == F(1, 2)
 
 
 def test_normalize_paper_example():
-    assert normalize(mk_dist([(1, F(1, 3)), (3, F(1, 6))])) == mk_dist(
+    assert normalize(FiniteDist([(1, F(1, 3)), (3, F(1, 6))])) == FiniteDist(
         [(1, F(2, 3)), (3, F(1, 3))]
     )
 
@@ -61,7 +60,7 @@ def test_normalize_full_is_identity():
 
 
 def test_normalize_single_point_scaling():
-    assert normalize(mk_dist([(0, F(1, 8))])) == FiniteDist.point(0)
+    assert normalize(FiniteDist([(0, F(1, 8))])) == FiniteDist.point(0)
 
 
 def test_normalize_zero_weight_raises():
@@ -88,12 +87,12 @@ def test_expected_value_distribution_valued():
     # hand enumeration: 1/3*point(0) + 1/3*point(1) + 1/3*point(0)
     d = FiniteDist.uniform([0, 1, 2])
     out = expected_value(d, lambda h: FiniteDist.point(h % 2))
-    assert out == mk_dist([(0, F(2, 3)), (1, F(1, 3))])
+    assert out == FiniteDist([(0, F(2, 3)), (1, F(1, 3))])
 
 
 def test_posterior_paper_example():
     d = FiniteDist.uniform([0, 1, 2])
-    assert posterior(d, lambda h: F(h, 2)) == mk_dist([(1, F(1, 3)), (2, F(2, 3))])
+    assert posterior(d, lambda h: F(h, 2)) == FiniteDist([(1, F(1, 3)), (2, F(2, 3))])
 
 
 def test_posterior_vacuous():
@@ -126,7 +125,7 @@ weights = st.lists(
 
 @given(weights)
 def test_construction_canonical(pairs):
-    d = mk_dist(pairs)
+    d = FiniteDist(pairs)
     assert all(w > 0 for _, w in d.items())
     assert 0 <= d.weight <= 1
     # entries sorted and unique
@@ -137,13 +136,13 @@ def test_construction_canonical(pairs):
 
 @given(weights.filter(lambda ps: sum(w for _, w in ps) > 0))
 def test_normalize_idempotent(pairs):
-    d = mk_dist(pairs)
+    d = FiniteDist(pairs)
     assert normalize(normalize(d)) == normalize(d)
 
 
 @given(weights.filter(lambda ps: sum(w for _, w in ps) > 0))
 def test_posterior_support_shrinks(pairs):
-    d = normalize(mk_dist(pairs))
+    d = normalize(FiniteDist(pairs))
     weight_fn = lambda v: F(1, 2) if v % 2 == 0 else F(0)
     if all(v % 2 == 1 for v in d.support):
         with pytest.raises(ZeroCondition):
@@ -155,7 +154,7 @@ def test_posterior_support_shrinks(pairs):
 
 @given(weights.filter(lambda ps: sum(w for _, w in ps) > 0))
 def test_expected_point_dists_preserve_weight(pairs):
-    d = mk_dist(pairs)
+    d = FiniteDist(pairs)
     out = expected_value(d, lambda v: FiniteDist.point(v % 2))
     assert out.weight == d.weight
 
@@ -172,28 +171,28 @@ mixed_pairs = st.lists(
 
 @given(mixed_pairs, st.randoms(use_true_random=False), st.data())
 def test_equality_and_hash_ignore_construction_order_and_splits(pairs, rnd, data):
-    d = mk_dist(pairs)
+    d = FiniteDist(pairs)
     # the same weights, each split in two and the parts shuffled
     split = []
     for v, w in pairs:
         part = data.draw(st.fractions(min_value=0, max_value=w))
         split += [(v, part), (v, w - part)]
     rnd.shuffle(split)
-    e = mk_dist(split)
+    e = FiniteDist(split)
     assert d == e and hash(d) == hash(e)
     assert d.items() == e.items() and repr(d) == repr(e) and d.key() == e.key()
 
 
 @given(mixed_pairs)
 def test_items_and_repr_sorted_by_value_key(pairs):
-    d = mk_dist(pairs)
+    d = FiniteDist(pairs)
     points = [v for v, _ in d.items()]
     assert points == sorted(points, key=value_key)
     assert repr(d) == "{" + ", ".join(f"{v}@{rat_str(w)}" for v, w in d.items()) + "}"
 
 
 def test_missing_point_reads_zero():
-    d = mk_dist([(vnum(0), F(1, 2))])
+    d = FiniteDist([(vnum(0), F(1, 2))])
     assert d[vnum(0)] == F(1, 2) and d[vnum(1)] == 0 and d[vbool(False)] == 0
 
 
@@ -201,7 +200,7 @@ def test_num_and_bool_values_stay_apart():
     assert vnum(1) != vbool(True) and vnum(0) != vbool(False)
     bools = Domain("b", (vbool(False), vbool(True)))
     assert vbool(True) in bools and vnum(1) not in bools and vnum(0) not in bools
-    assert len(mk_dist([(vnum(1), F(1, 2)), (vbool(True), F(1, 2))])) == 2
+    assert len(FiniteDist([(vnum(1), F(1, 2)), (vbool(True), F(1, 2))])) == 2
 
 
 def test_value_hash_is_structural():

@@ -1,5 +1,6 @@
 """Fast property smoke tests; the full-size suites run in test_acceptance."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,10 +15,19 @@ from conftest import (
 from hyperflow.attack import synthesize_and_verify
 from hyperflow.lang import ast as A
 from hyperflow.lang import desugar, parse
-from hyperflow.measures import bayes_vuln, shannon_entropy_partition
+from hyperflow.matrix import RatMatrix
+from hyperflow.measures import bayes_vuln, gain_vulnerability, shannon_entropy_partition
 from hyperflow.normalform import eval_via_normal_form
-from hyperflow.probcore import mk_dist, vnum
-from hyperflow.refine import NotRefined, RefinementWitness, check_refinement, refines
+from hyperflow.probcore import FiniteDist, vnum
+from hyperflow.refine import (
+    NotRefined,
+    RefinementWitness,
+    bv_partition,
+    check_refinement,
+    extract_partition,
+    hidden_columns,
+    refines,
+)
 from hyperflow.semantics import Scope, eval_module
 from hyperflow.semantics import eval as eval_hyper
 
@@ -63,8 +73,8 @@ def test_soundness_of_bayes_under_refinement_random():
 
 def test_strict_shannon_gain_when_merging_dissimilar_fractions():
     # merging two dissimilar fractions strictly increases partition entropy
-    f1 = mk_dist([(ht(0), F(1, 4))])
-    f2 = mk_dist([(ht(1), F(1, 4)), (ht(2), F(1, 4))])
+    f1 = FiniteDist([(ht(0), F(1, 4))])
+    f2 = FiniteDist([(ht(1), F(1, 4)), (ht(2), F(1, 4))])
     merged = f1.add(f2)
     separate = shannon_entropy_partition([f1, f2])
     joined = shannon_entropy_partition([merged])
@@ -90,7 +100,7 @@ def test_strict_shannon_soundness_on_refine_fixtures():
 
 
 def test_similar_merge_keeps_shannon_exact():
-    f1 = mk_dist([(ht(0), F(1, 8)), (ht(1), F(1, 8))])
+    f1 = FiniteDist([(ht(0), F(1, 8)), (ht(1), F(1, 8))])
     f2 = f1.scale(F(1, 2))
     separate = shannon_entropy_partition([f1, f2])
     joined = shannon_entropy_partition([f1.add(f2)])
@@ -126,6 +136,62 @@ def test_atomic_wrap_always_refines():
             desugar(small_scope_module(A.Atomic(p))).body, scope, s
         )
         assert refines(hyper_p, hyper_at)
+
+
+def _rand_gain(rng, n_guesses, n_columns):
+    return [[F(rng.randint(-3, 3)) for _ in range(n_columns)] for _ in range(n_guesses)]
+
+
+def _partitions(hyper):
+    """Each visible value's partition of hyper as a matrix over its own
+    hidden values."""
+    for v in hyper.visible_values():
+        pi = extract_partition(hyper, v)
+        yield pi, pi.matrix(pi.h_support())
+
+
+def test_gain_vulnerability_is_the_best_simple_merge():
+    # V_X(Pi) is the largest score <M Pi, X> of a simple M, which sends each
+    # fraction of Pi whole to one guess row of X
+    rng = random.Random(16)
+    for _ in range(40):
+        for pi, mat in _partitions(rand_hyper(rng, VVALS, HVALS)):
+            f_i = rng.randint(1, 3)
+            x = RatMatrix(_rand_gain(rng, f_i, mat.ncols))
+            best = max(
+                (
+                    RatMatrix([[F(int(r == row)) for r in assignment] for row in range(f_i)]) @ mat
+                ).dot(x)
+                for assignment in itertools.product(range(f_i), repeat=len(pi))
+            )
+            assert gain_vulnerability(x.rows, mat.rows) == best
+
+
+def test_identity_gain_is_bayes_vulnerability():
+    rng = random.Random(17)
+    for _ in range(40):
+        for pi, mat in _partitions(rand_hyper(rng, VVALS, HVALS)):
+            identity = RatMatrix.identity(mat.ncols)
+            assert gain_vulnerability(identity.rows, mat.rows) == bv_partition(pi)
+
+
+def test_no_gain_prefers_atomic_p_to_p():
+    # the closure theorem's refining half in gain form: P refines to
+    # atomic{P}, so no gain scores the impl above the spec at any v
+    rng = random.Random(18)
+    scope = Scope.of_module(small_scope_module(A.Skip()))
+    for _ in range(80):
+        p = rand_program(rng, depth=2, allow_local=False)
+        s = rand_small_init(rng)
+        spec = eval_hyper(desugar(small_scope_module(p)).body, scope, s)
+        impl = eval_hyper(desugar(small_scope_module(A.Atomic(p))).body, scope, s)
+        for v in spec.visible_values():
+            pi_s, pi_i = extract_partition(spec, v), extract_partition(impl, v)
+            columns = hidden_columns(pi_s, pi_i)
+            mat_s, mat_i = pi_s.matrix(columns), pi_i.matrix(columns)
+            for _ in range(5):
+                gain = _rand_gain(rng, rng.randint(1, 3), len(columns))
+                assert gain_vulnerability(gain, mat_i.rows) <= gain_vulnerability(gain, mat_s.rows)
 
 
 TWO_HIDDEN_HEADER = parse("vis v : {0..1}; hid h : {0..2}; hid k : {0..1}; skip")

@@ -18,7 +18,7 @@ from conftest import (
 )
 from hyperflow.errors import NotRefinementMatrix
 from hyperflow.matrix import RatMatrix
-from hyperflow.probcore import FiniteDist, mk_dist, vnum, vsym
+from hyperflow.probcore import FiniteDist, vnum, vsym
 from hyperflow.refine import (
     NotRefined,
     Partition,
@@ -37,7 +37,7 @@ HVALS = [vnum(k) for k in range(4)]
 
 
 def frac(*pairs):
-    return mk_dist([(ht(k), w) for k, w in pairs])
+    return FiniteDist([(ht(k), w) for k, w in pairs])
 
 
 # -- extraction -----------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_extract_p2_at_one():
         frac((1, F(1, 6)), (3, F(1, 6))),
         frac((3, F(1, 6))),
     }
-    assert pi.reduced
+    assert reduce_partition(pi) == pi
 
 
 def test_extract_p4_at_one():
@@ -79,13 +79,13 @@ def test_reduce_paper_example():
         ]
     )
     assert reduce_partition(pi) == Partition.of(
-        [frac((0, F(1, 3))), frac((1, F(1, 3)), (2, F(1, 3)))], reduced=True
+        [frac((0, F(1, 3))), frac((1, F(1, 3)), (2, F(1, 3)))]
     )
 
 
 def test_reduce_idempotent_on_reduced():
     pi = extract_partition(run_module(load("P2"), p_init()), (vnum(1),))
-    assert reduce_partition(pi) == Partition.of(pi.fractions, reduced=True)
+    assert reduce_partition(pi) == Partition.of(pi.fractions)
 
 
 def test_similar_fractions_merge():
@@ -473,25 +473,20 @@ def test_integer_column_sweep_keeps_the_fraction_sweeps_columns():
         assert independent_columns(mat_s, mat_i) == _fraction_independent_columns(mat_s, mat_i)
 
 
-def test_refinement_certificate_check_agrees_with_the_dense_lp():
-    from hyperflow.errors import InternalError
+def test_refinement_certificates_carry_a_separating_gain():
+    from hyperflow.attack import separating_direction_from_certificate
+    from hyperflow.errors import InternalError, NotSeparable
     from hyperflow.lp import _verify_certificate
     from hyperflow.refine import (
-        _verify_refinement_certificate,
+        certificate_gain,
         check_partition_refinement,
+        gain_margin,
         hidden_columns,
+        independent_columns,
         refinement_lp,
     )
 
-    def accepts(check, *args):
-        try:
-            check(*args)
-        except InternalError:
-            return False
-        return True
-
-    rng = random.Random(615)
-    certificates = nudged_accepted = 0
+    certificates = padded = 0
     for pi_s, pi_i in presolve_pairs(611, 160):
         cert = check_partition_refinement(pi_s, pi_i)[1]
         if cert is None:
@@ -500,21 +495,19 @@ def test_refinement_certificate_check_agrees_with_the_dense_lp():
         h_columns = hidden_columns(pi_s, pi_i)
         mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
         full = refinement_lp(mat_s, mat_i)
-        f_s, nh = mat_s.nrows, mat_s.ncols
-        # raising the multiplier of product equation (r, h) by more than
-        # sum |y| / mat_s[c][h] makes y.A positive at R[r][c]
-        r, h, c = next(
-            (r, h, c) for r in range(mat_i.nrows) for h in range(nh) for c in range(f_s) if mat_s[c, h] > 0
-        )
-        broken = list(cert)
-        broken[f_s + r * nh + h] += (1 + sum(abs(x) for x in cert)) / mat_s[c, h]
-        # a small nudge of a random product multiplier may or may not break it
-        nudged = list(cert)
-        nudged[f_s + rng.randrange(mat_i.nrows * nh)] += F(rng.randint(-3, 3), 64)
-        zero = [F(0)] * len(cert)  # y.A <= 0 holds, but y.b = 0
-        for y, valid in ((cert, True), (broken, False), (zero, False), (nudged, None)):
-            dense = accepts(_verify_certificate, full, y)
-            assert accepts(_verify_refinement_certificate, mat_s, mat_i, y) == dense
-            assert valid is None or dense is valid
-        nudged_accepted += accepts(_verify_certificate, full, nudged)
-    assert certificates >= 40 and 0 < nudged_accepted < certificates
+        f_s, f_i = mat_s.nrows, mat_i.nrows
+        _verify_certificate(full, cert)
+        x = certificate_gain(cert, f_s, f_i)
+        assert (x.nrows, x.ncols) == (f_i, len(h_columns))
+        padded += len(independent_columns(mat_s, mat_i)) < len(h_columns)
+        margin = gain_margin(x, mat_s, mat_i)
+        assert margin > 0
+        assert separating_direction_from_certificate(pi_s, pi_i, cert).margin == margin
+        # the column-sum multipliers alone never certify: y.b = sum(u) <= 0
+        zeroed = cert[:f_s] + [F(0)] * (len(cert) - f_s)
+        with pytest.raises(InternalError):
+            _verify_certificate(full, zeroed)
+        assert gain_margin(certificate_gain(zeroed, f_s, f_i), mat_s, mat_i) == 0
+        with pytest.raises(NotSeparable):
+            separating_direction_from_certificate(pi_s, pi_i, zeroed)
+    assert certificates >= 40 and padded > 0

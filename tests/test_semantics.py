@@ -33,7 +33,6 @@ from hyperflow.semantics import (
     classical_eval,
     eval_atomic_block,
     hide_embed,
-    reduce_hyper,
 )
 from hyperflow.semantics import eval as eval_hyper
 from hyperflow.semantics import eval_expr
@@ -237,13 +236,13 @@ def test_threebox_I2_hyper():
 
 def test_reduce_merges_equal_split_states():
     s = SplitState((vnum(0),), point_delta(0))
-    out = reduce_hyper([(s, F(1, 2)), (s, F(1, 2))])
+    out = HyperDist([(s, F(1, 2)), (s, F(1, 2))])
     assert out == HyperDist.point(s)
 
 
 def test_reduce_canonical_is_identity():
     out = run_module(load("threebox_S"), threebox_init())
-    assert reduce_hyper(out) == out
+    assert HyperDist(out) == out
 
 
 # -- atomicity ------------------------------------------------------------------
@@ -387,7 +386,7 @@ def test_sequencing_is_associative_and_compositional():
         left, right = A.Seq(A.Seq(a, b), c), A.Seq(a, A.Seq(b, c))
         out = eval_hyper(right, SC23, s)
         assert eval_hyper(left, SC23, s) == out
-        assert out == reduce_hyper(
+        assert out == HyperDist(
             [
                 (st2, w * w2)
                 for st, w in eval_hyper(a, SC23, s).items()
