@@ -72,13 +72,6 @@ class SeparatingDirection:
         return cls(x, margin, h_columns)
 
 
-def refinement_score_range(x: RatMatrix, mat_s: RatMatrix) -> tuple[Fraction, Fraction]:
-    """Exact min and max of dot(M x mat_s, X) over all simple M: each source
-    fraction is assigned independently to its worst (or best) X row."""
-    hi = gain_vulnerability(x.rows, mat_s.rows)
-    return -gain_vulnerability(x.scale(-1).rows, mat_s.rows), hi
-
-
 def separating_direction_from_certificate(
     pi_s: Partition, pi_i: Partition, certificate: Optional[list] = None
 ) -> SeparatingDirection:
@@ -263,15 +256,14 @@ def _equal_to(names, values) -> A.Expr:
 
 
 def channel_choose_dist(channel: AttackChannel, h_names) -> A.DistExpr:
-    """Nested conditional distribution selecting the row for the current
-    joint value of the hidden variables `h_names`."""
-    hs = sorted(channel.rows, key=value_key)
-    dist = _row_dist(channel.columns, channel.rows[hs[-1]])
-    for h in reversed(hs[:-1]):
-        dist = A.DistCond(
-            _row_dist(channel.columns, channel.rows[h]), _equal_to(h_names, h), dist
-        )
-    return dist
+    """Conditional distribution selecting the row for the current joint
+    value of the hidden variables `h_names`, one arm per value but the last."""
+    *hs, last = sorted(channel.rows, key=value_key)
+    arms = [
+        x for h in hs for x in (_row_dist(channel.columns, channel.rows[h]), _equal_to(h_names, h))
+    ]
+    otherwise = _row_dist(channel.columns, channel.rows[last])
+    return A.DistCond(*arms, otherwise) if arms else otherwise
 
 
 def _pin(decl: A.VarDecl) -> A.Assign:

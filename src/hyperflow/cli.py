@@ -47,9 +47,16 @@ def _precision(args) -> int:
     return bits
 
 
+def _read(path: str) -> str:
+    """A program file's text; bytes that are not UTF-8 are a usage error naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _load(path: str, args) -> "tuple":
-    src = Path(path).read_text()
-    module = parse(src)
+    module = parse(_read(path))
     if getattr(args, "agent", None):
         module = project_view(module, args.agent)
     elif getattr(args, "external", False):
@@ -90,7 +97,7 @@ def _elementary_kind(order: str):
 
 
 def cmd_parse(args) -> int:
-    module = parse(Path(args.file).read_text())
+    module = parse(_read(args.file))
     diags = validate(module, allow_uniform_init=args.allow_uniform_init)
     if args.json:
         _emit(
@@ -230,7 +237,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_view(args) -> int:
-    module = parse(Path(args.file).read_text())
+    module = parse(_read(args.file))
     projected = project_view(module, args.agent if args.agent else None)
     print(pretty_print(projected), end="")
     return OK
@@ -350,7 +357,7 @@ def run(argv=None) -> int:
         return USAGE if e.code else OK
     try:
         return args.fn(args)
-    except (HprogSyntaxError, InitSpecError, OSError, UnicodeDecodeError) as exc:
+    except (HprogSyntaxError, InitSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (InternalError, AssertionError) as exc:

@@ -6,7 +6,8 @@ class HyperflowError(Exception):
 
 
 class UsageError(HyperflowError):
-    """Malformed argument text: a number, a measure, an order or a precision."""
+    """Malformed argument text (a number, a measure, an order or a
+    precision), or a program file that is not UTF-8."""
 
 
 # -- probability core ---------------------------------------------------

@@ -76,9 +76,8 @@ def dist_json(d: A.DistExpr):
         }
     if isinstance(d, A.DistCond):
         return {
-            "cond": expr_json(d.guard),
-            "then": dist_json(d.then_branch),
-            "else": dist_json(d.else_branch),
+            "arms": [{"cond": expr_json(g), "then": dist_json(t)} for t, g in d.arms],
+            "else": dist_json(d.otherwise),
         }
     raise TypeError(d)
 

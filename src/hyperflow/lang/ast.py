@@ -164,12 +164,28 @@ class DistUniform(DistExpr):
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistCond(DistExpr):
-    then_branch: DistExpr
-    guard: Expr
-    else_branch: DistExpr
-    pos: Optional[Pos] = _pos_field()
+    """`(d1 if g1 else (d2 if g2 else d3))`: the then-branch of the first
+    arm whose guard holds, else `otherwise`.  The constructor takes the arms
+    flat, DistCond(d1, g1, d2, g2, d3), and absorbs a DistCond otherwise as
+    Seq absorbs a Seq; a then-branch conditional stays nested."""
+
+    arms: tuple[tuple[DistExpr, Expr], ...]  # (then, guard)
+    otherwise: DistExpr
+    pos: tuple[Optional[Pos], ...] = _pos_field()  # one per arm
+
+    def __init__(self, *parts, pos: Optional[tuple] = None):
+        *flat, otherwise = parts
+        if not flat or len(flat) % 2:
+            raise ValueError("a conditional distribution needs then, guard pairs and an otherwise")
+        arms = tuple(zip(flat[::2], flat[1::2]))
+        pos = pos or (None,) * len(arms)
+        if isinstance(otherwise, DistCond):
+            arms, pos, otherwise = arms + otherwise.arms, pos + otherwise.pos, otherwise.otherwise
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "otherwise", otherwise)
+        object.__setattr__(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,14 @@ class Parser:
             raise HprogSyntaxError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
         return self.next()
 
+    def parse_list(self, parse_item) -> list:
+        """One or more items separated by commas."""
+        items = [parse_item()]
+        while self.at(","):
+            self.next()
+            items.append(parse_item())
+        return items
+
     def pos(self) -> A.Pos:
         t = self.peek()
         return A.Pos(t.line, t.col)
@@ -106,10 +114,7 @@ class Parser:
     def parse_decl_line(self) -> list[A.VarDecl]:
         pos = self.pos()
         visibility = self.parse_visibility()
-        names = [self.expect("ident").text]
-        while self.at(","):
-            self.next()
-            names.append(self.expect("ident").text)
+        names = self.parse_list(lambda: self.expect("ident").text)
         self.expect(":")
         domain_values = self.parse_domain_values()
         self.expect(";")
@@ -125,10 +130,7 @@ class Parser:
         self.expect("kw", "vis")
         if self.at("{"):
             self.next()
-            agents = [self.expect("ident").text]
-            while self.at(","):
-                self.next()
-                agents.append(self.expect("ident").text)
+            agents = self.parse_list(lambda: self.expect("ident").text)
             self.expect("}")
             return A.Visibility("vis", tuple(agents))
         return A.VIS
@@ -224,10 +226,7 @@ class Parser:
             return A.Cond(guard, then_branch, else_branch, pos)
         if self.at("kw", "local"):
             self.next()
-            decls = [self.parse_local_decl()]
-            while self.at(","):
-                self.next()
-                decls.append(self.parse_local_decl())
+            decls = self.parse_list(self.parse_local_decl)
             self.expect("kw", "in")
             self.expect("{")
             body = self.parse_stmt()
@@ -272,39 +271,41 @@ class Parser:
     # -- distribution expressions -------------------------------------------
 
     def parse_dist(self) -> A.DistExpr:
+        """A chain `(d1 if g1 else (d2 if g2 else d3))` is read in a loop; a
+        `(` that does not open an arm starts a parenthesised expression."""
+        flat, arm_pos = [], []  # then, guard of each arm; the position of its `(`
+        while self.at("("):
+            start, pos = self.i, self.pos()
+            try:
+                self.next()
+                then_branch = self.parse_dist()
+                self.expect("kw", "if")
+                guard = self.parse_expr()
+                self.expect("kw", "else")
+            except HprogSyntaxError:
+                self.i = start
+                break
+            flat += (then_branch, guard)
+            arm_pos.append(pos)
+        otherwise = self.parse_dist_leaf()
+        for _ in arm_pos:
+            self.expect(")")
+        return A.DistCond(*flat, otherwise, pos=tuple(arm_pos)) if flat else otherwise
+
+    def parse_dist_leaf(self) -> A.DistExpr:
+        """A distribution expression other than a conditional."""
         pos = self.pos()
         if self.at("kw", "uniform"):
             self.next()
             self.expect("{")
-            exprs = [self.parse_expr()]
-            while self.at(","):
-                self.next()
-                exprs.append(self.parse_expr())
+            exprs = self.parse_list(self.parse_expr)
             self.expect("}")
             return A.DistUniform(tuple(exprs), pos)
         if self.at("{"):
             self.next()
-            entries = [self.parse_dist_entry()]
-            while self.at(","):
-                self.next()
-                entries.append(self.parse_dist_entry())
+            entries = self.parse_list(self.parse_dist_entry)
             self.expect("}")
             return A.DistExplicit(tuple(entries), pos)
-        if self.at("("):
-            saved = self.i
-            try:
-                self.next()
-                then_branch = self.parse_dist()
-                if self.at("kw", "if"):
-                    self.next()
-                    guard = self.parse_expr()
-                    self.expect("kw", "else")
-                    else_branch = self.parse_dist()
-                    self.expect(")")
-                    return A.DistCond(then_branch, guard, else_branch, pos)
-                raise HprogSyntaxError("not a conditional distribution", 0, 0)
-            except HprogSyntaxError:
-                self.i = saved  # plain parenthesised expression
         # point / infix-choice sugar over expressions
         first = self.parse_expr()
         if self.at("["):

@@ -56,10 +56,8 @@ def print_dist(d: A.DistExpr) -> str:
             f"{print_expr(v)} @ {print_expr(p)}" for v, p in d.entries
         ) + "}"
     if isinstance(d, A.DistCond):
-        return (
-            f"({print_dist(d.then_branch)} if {print_expr(d.guard)}"
-            f" else {print_dist(d.else_branch)})"
-        )
+        arms = "".join(f"({print_dist(then)} if {print_expr(guard)} else " for then, guard in d.arms)
+        return arms + print_dist(d.otherwise) + ")" * len(d.arms)
     raise TypeError(d)
 
 

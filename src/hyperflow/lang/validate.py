@@ -206,11 +206,11 @@ class _Checker:
                 )
             return
         if isinstance(d, A.DistCond):
-            kind = self.check_expr(d.guard, scope)
-            if kind not in ("bool", None):
-                self.error("TypeMismatch", "distribution guard must be boolean", d.pos)
-            self.check_dist(d.then_branch, scope, target)
-            self.check_dist(d.else_branch, scope, target)
+            for (then, guard), pos in zip(d.arms, d.pos):
+                if self.check_expr(guard, scope) not in ("bool", None):
+                    self.error("TypeMismatch", "distribution guard must be boolean", pos)
+                self.check_dist(then, scope, target)
+            self.check_dist(d.otherwise, scope, target)
             return
         raise TypeError(d)
 

@@ -9,7 +9,6 @@ instead of guessing a sign inside the tolerance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -17,7 +16,7 @@ from typing import Optional
 import mpmath
 
 from .errors import DomainMismatch, UsageError
-from .probcore import ONE, ZERO, FiniteDist, parse_rat, rat
+from .probcore import ZERO, FiniteDist, parse_rat, rat
 from .semantics import HyperDist
 
 DEFAULT_PRECISION_BITS = 128
@@ -283,17 +282,3 @@ def elementary_compare(
     # Bayes vulnerability must not rise; the uncertainty measures must not fall
     holds = iv <= sv if measure.kind == "bayes" else iv >= sv
     return CompareVerdict("Holds" if holds else "FailsMeasure", sv, iv)
-
-
-def brute_force_guess_count(delta_probs: list[Fraction]) -> Fraction:
-    """Independent oracle for guessing entropy of one distribution: try all
-    guess orders and take the least expected number of guesses."""
-    best = None
-    for order in itertools.permutations(range(len(delta_probs))):
-        exp = sum(
-            ((k + 1) * delta_probs[j] for k, j in enumerate(order)),
-            ZERO,
-        )
-        if best is None or exp < best:
-            best = exp
-    return best if best is not None else ONE

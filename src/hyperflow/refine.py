@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .errors import InternalError, NotRefinementMatrix
 from .lp import Feasible, LinearProgram, solve_feasibility, to_integers
 from .matrix import RatMatrix
-from .measures import ft, gain_vulnerability
+from .measures import gain_vulnerability
 from .probcore import ONE, ZERO, FiniteDist, normalize, value_key
 from .semantics import HyperDist
 
@@ -34,15 +34,15 @@ class Partition:
     def of(cls, fractions) -> "Partition":
         return cls(tuple(sorted(fractions, key=value_key)))
 
-    @property
-    def weight(self) -> Fraction:
-        return sum((f.weight for f in self.fractions), ZERO)
-
     def __len__(self):
         return len(self.fractions)
 
     def __iter__(self):
         return iter(self.fractions)
+
+    def total(self) -> FiniteDist:
+        """The sum of the fractions: how likely each hidden value is jointly with v."""
+        return FiniteDist(p for f in self.fractions for p in f)
 
     def h_support(self) -> list:
         return sorted({h for f in self.fractions for h, _ in f}, key=value_key)
@@ -255,30 +255,21 @@ def check_refinement(
 ) -> Union[RefinementWitness, NotRefined]:
     """Decide secure refinement between two canonical hyper-distributions.
 
-    Functional equality is checked first (refinement implies it); then for
-    each visible value an exact LP finds a refinement matrix, or the first
-    failing value is reported with its infeasibility certificate.
+    Functional equality is checked first (refinement implies it): at every
+    visible value, before any LP, both partitions' fractions add up to the
+    same sub-distribution.  Then for each visible value an exact LP finds a
+    refinement matrix, or the first failing value is reported with its
+    infeasibility certificate.
     """
-    if ft(spec) != ft(impl):
+    vs = sorted({s.v for s, _ in spec} | {s.v for s, _ in impl}, key=value_key)
+    pairs = [(v, extract_partition(spec, v), extract_partition(impl, v)) for v in vs]
+    if any(pi_s.total() != pi_i.total() for _, pi_s, pi_i in pairs):
         return NotRefined(v=None, functional_mismatch=True)
     per_v: dict = {}
-    vs = sorted({s.v for s, _ in spec} | {s.v for s, _ in impl}, key=value_key)
-    for v in vs:
-        pi_s = extract_partition(spec, v)
-        pi_i = extract_partition(impl, v)
-        if not pi_s.fractions and not pi_i.fractions:
-            continue
-        if not pi_s.fractions or not pi_i.fractions:
-            # cannot happen after ft equality, but fail safely
-            return NotRefined(v=v, pi_s=pi_s, pi_i=pi_i)
+    for v, pi_s, pi_i in pairs:
         witness, cert = check_partition_refinement(pi_s, pi_i)
         if witness is None:
-            return NotRefined(
-                v=v,
-                certificate=cert,
-                pi_s=pi_s,
-                pi_i=pi_i,
-            )
+            return NotRefined(v=v, certificate=cert, pi_s=pi_s, pi_i=pi_i)
         per_v[v] = witness
     return RefinementWitness(per_v)
 
@@ -290,17 +281,6 @@ def refines(spec: HyperDist, impl: HyperDist) -> bool:
 # ---------------------------------------------------------------------------
 # Convex decomposition of refinement matrices
 # ---------------------------------------------------------------------------
-
-
-def is_simple(m: RatMatrix) -> bool:
-    """0/1 with exactly one 1 per column (a transposed strategy matrix)."""
-    for c in range(m.ncols):
-        col = [m[r, c] for r in range(m.nrows)]
-        if sorted(col, reverse=True)[:1] != [ONE] or sum(col, ZERO) != ONE:
-            return False
-        if any(x not in (ZERO, ONE) for x in col):
-            return False
-    return True
 
 
 def decompose_refinement(r: RatMatrix) -> list[tuple[Fraction, RatMatrix]]:

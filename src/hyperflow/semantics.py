@@ -215,8 +215,10 @@ def eval_prob(e: A.Expr, env) -> Fraction:
 def eval_dist(d: A.DistExpr, env) -> FiniteDist:
     """Evaluate a distribution expression; weights must sum to exactly 1."""
     if isinstance(d, A.DistCond):
-        branch = d.then_branch if _boolean(eval_expr(d.guard, env), "dist guard") else d.else_branch
-        return eval_dist(branch, env)
+        for then, guard in d.arms:
+            if _boolean(eval_expr(guard, env), "dist guard"):
+                return eval_dist(then, env)
+        return eval_dist(d.otherwise, env)
     if isinstance(d, A.DistUniform):
         share = Fraction(1, len(d.exprs))
         pairs = [(eval_expr(x, env), share) for x in d.exprs]

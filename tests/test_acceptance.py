@@ -29,6 +29,7 @@ from conftest import (
     run_source,
     threebox_init,
 )
+from oracles import is_simple
 from hyperflow.attack import synthesize_and_verify
 from hyperflow.lang import ast as A
 from hyperflow.lang import desugar, parse, parse_program, project_view
@@ -53,7 +54,6 @@ from hyperflow.refine import (
     check_refinement,
     decompose_refinement,
     extract_partition,
-    is_simple,
     refines,
 )
 from hyperflow.semantics import HyperDist, Scope, SplitState

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import ht, load, p_init, run_module
+from oracles import refinement_score_range
 from hyperflow import attack
 from hyperflow.attack import (
     build_attack_channel,
     compose,
-    refinement_score_range,
     separating_direction_by_vertices,
     separating_direction_from_certificate,
     synthesize_and_verify,

@@ -6,8 +6,9 @@ import shutil
 import pytest
 
 from conftest import CORPUS
-from hyperflow import cli
+from hyperflow import attack, cli
 from hyperflow.cli import run
+from hyperflow.lang import parse, validate
 
 
 def invoke(capsys, *argv):
@@ -177,9 +178,37 @@ def test_attack_writes_context(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0 and payload["verdict"]
     assert ctx_file.exists()
-    from hyperflow.lang import parse
-
     parse(ctx_file.read_text())  # emitted context is valid source
+
+
+def test_attack_past_a_thousand_hidden_values(tmp_path, capsys, monkeypatch):
+    # the context selects its channel row with one conditional of 1099 arms
+    reports, synthesize = [], attack.synthesize_and_verify
+
+    def recorded(*args, **kwargs):
+        reports.append(synthesize(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(attack, "synthesize_and_verify", recorded)
+    header = "vis v : {0..1};\nhid h : {0..1099};\n"
+    (tmp_path / "spec.hprog").write_text(header + "atomic { v := h mod 2; v := 0 }\n")
+    (tmp_path / "impl.hprog").write_text(header + "v := h mod 2; v := 0\n")
+    ctx_file = tmp_path / "ctx.hprog"
+    code, out, err = invoke(
+        capsys,
+        "attack",
+        str(tmp_path / "spec.hprog"),
+        str(tmp_path / "impl.hprog"),
+        "--init",
+        "v=0; h~uniform",
+        "--method",
+        "farkas",
+        "-o",
+        str(ctx_file),
+    )
+    assert (code, err) == (0, "") and json.loads(out)["verdict"]
+    context = parse(ctx_file.read_text())
+    assert validate(context) == [] and context == reports[0].context
 
 
 def test_attack_on_two_hidden_variables(tmp_path, capsys):
@@ -409,6 +438,22 @@ def test_unreadable_files_are_usage_errors(tmp_path, capsys):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_an_undecodable_program_file_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.hprog"
+    bad.write_bytes(b"\xff\xfe")
+    p4 = str(CORPUS / "P4.hprog")
+    for argv in (
+        ("attack", p4, str(bad), "--init", "v=0; h~uniform"),
+        ("parse", str(bad)),
+        ("view", str(bad)),
+        ("eval", str(bad), "--init", "v=0"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff"), err
+        assert err.count("\n") == 1
 
 
 _S, _ENC = str(CORPUS / "threebox_S.hprog"), str(CORPUS / "encryption_lemma.hprog")

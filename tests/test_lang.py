@@ -1,6 +1,7 @@
 """Parser, printer round trips, validation, views, and desugaring."""
 
 import itertools
+import json
 import random
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import CORPUS, load, rand_program, small_scope_module
 from hyperflow.errors import HprogSyntaxError, UnknownAgent
+from hyperflow.jsonio import module_json
 from hyperflow.lang import ast as A
 from hyperflow.lang import (
     agents_of,
@@ -20,7 +22,8 @@ from hyperflow.lang import (
 )
 from hyperflow.lang.parser import tokenize
 from hyperflow.lang.transform import has_construct
-from hyperflow.probcore import vnum
+from hyperflow.probcore import FiniteDist, vnum
+from hyperflow.semantics import eval_dist
 
 
 def test_infix_choice_sugar():
@@ -58,6 +61,19 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ("({0 @ 1} if h = 0 else ({1 @ 1} if h = 1 else {2 @ 1}) + 1)", "2:61: expected ')', found '+'"),
+        ("({0 @ 1} if h = 0 else {1 @ 1)", "2:35: expected '}', found ')'"),
+    ],
+)
+def test_a_broken_distribution_chain_is_reported_where_it_breaks(dist, message):
+    with pytest.raises(HprogSyntaxError) as exc:
+        parse("vis v : {0..2}; hid h : {0..2};\nv <- " + dist)
+    assert str(exc.value) == message
+
+
 def _tokens(src):
     return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
 
@@ -93,6 +109,26 @@ def test_sequences_are_flat():
     m1, m2 = parse(src), parse(src)
     assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
     assert repr(m1) == repr(m2)
+
+
+def test_distribution_conditionals_are_flat():
+    a, b, c = (A.DistExplicit(((A.Lit(vnum(k)), A.Lit(vnum(1))),)) for k in range(3))
+    g, k = A.Name("g"), A.Name("k")
+    chained = A.DistCond(a, g, A.DistCond(b, k, c))
+    assert chained == A.DistCond(a, g, b, k, c) and hash(chained) == hash(A.DistCond(a, g, b, k, c))
+    assert chained.arms == ((a, g), (b, k)) and chained.otherwise == c
+    nested = A.DistCond(A.DistCond(a, g, b), k, c)
+    assert nested.arms == ((A.DistCond(a, g, b), k),) and nested != chained
+    with pytest.raises(ValueError):
+        A.DistCond(a, g)
+    decls = "vis v : {0..2}; hid g, k : {false, true}; "
+    for text, node in (
+        ("({0 @ 1} if g else ({1 @ 1} if k else {2 @ 1}))", chained),
+        ("(({0 @ 1} if g else {1 @ 1}) if k else {2 @ 1})", nested),
+    ):
+        m = parse(decls + "v <- " + text)
+        assert m.body.dist == node
+        assert pretty_print(m).endswith("v <- " + text + "\n")
 
 
 def test_pretty_print_skip():
@@ -317,6 +353,32 @@ def test_walkers_handle_a_long_straight_line_program():
     again = parse(text)
     assert pretty_print(again) == text
     assert again == m
+
+
+def test_walkers_handle_a_long_conditional_distribution_chain():
+    # a chain of conditional distributions is one node with a tuple of arms,
+    # so no walker recurses once per arm
+    n = 1200
+    arms = "".join(f"({{{k % 3} @ 1}} if h = {k} else " for k in range(n))
+    src = f"vis v : {{0..2}};\nhid h : {{0..{n}}};\n\nv <- {arms}uniform{{0, 1, 2}}" + ")" * n + "\n"
+    m = parse(src)
+    d = m.body.dist
+    assert len(d.arms) == n and d.otherwise == A.DistUniform(tuple(A.Lit(vnum(k)) for k in range(3)))
+    assert pretty_print(m) == src
+    again = parse(pretty_print(m))
+    assert again == m and hash(again) == hash(m) and repr(again) == repr(m)
+    assert validate(m) == []
+    for h, expected in ((0, FiniteDist.point(vnum(0))), (601, FiniteDist.point(vnum(1))),
+                        (n, FiniteDist.uniform([vnum(k) for k in range(3)]))):
+        assert eval_dist(d, {"v": vnum(0), "h": vnum(h)}) == expected
+    node = json.loads(json.dumps(module_json(m)))["body"]["dist"]
+    assert len(node["arms"]) == n and node["else"] == {"uniform": [{"lit": str(k)} for k in range(3)]}
+    # each arm keeps the position of its own `(`
+    bad = src.replace(f"if h = {n - 1} else", f"if h + {n - 1} else")
+    col = bad.splitlines()[3].index(f"({{{(n - 1) % 3} @ 1}} if h + ") + 1
+    assert [str(x) for x in validate(parse(bad))] == [
+        f"4:{col}: error: TypeMismatch: distribution guard must be boolean"
+    ]
 
 
 # -- the operator table --------------------------------------------------------

@@ -8,13 +8,13 @@ import mpmath
 import pytest
 
 from conftest import ht, hyper, load, rand_full_dist, rand_hyper, run_module, threebox_init
+from oracles import brute_force_guess_count
 from hyperflow.errors import DomainMismatch
 from hyperflow.measures import (
     BAYES,
     GENTROPY,
     SHANNON,
     bayes_vuln,
-    brute_force_guess_count,
     elementary_compare,
     ft,
     guessing_entropy,

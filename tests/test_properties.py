@@ -12,7 +12,7 @@ from conftest import (
     refine_hyper,
     small_scope_module,
 )
-from hyperflow.attack import synthesize_and_verify
+from hyperflow.attack import synthesize_and_verify, verify_attack
 from hyperflow.lang import ast as A
 from hyperflow.lang import desugar, parse
 from hyperflow.matrix import RatMatrix
@@ -192,6 +192,28 @@ def test_no_gain_prefers_atomic_p_to_p():
             for _ in range(5):
                 gain = _rand_gain(rng, rng.randint(1, 3), len(columns))
                 assert gain_vulnerability(gain, mat_i.rows) <= gain_vulnerability(gain, mat_s.rows)
+
+
+def test_no_attack_context_prefers_atomic_p_to_p():
+    # the closure theorem's refining half with contexts: P refines to
+    # atomic{P}, so contexts that attack built for other failing pairs over
+    # the same declarations never score impl ; C above spec ; C
+    rng = random.Random(19)
+    pairs = []  # (P, atomic{P}, init) where atomic{P} does not refine to P
+    while len(pairs) < 36:
+        p = desugar(small_scope_module(rand_program(rng, depth=2, allow_local=False)))
+        s = rand_small_init(rng)
+        atomic_p = A.Module(p.decls, A.Atomic(p.body))
+        if isinstance(check_refinement(eval_module(atomic_p, s), eval_module(p, s)), NotRefined):
+            pairs.append((p, atomic_p, s))
+    contexts = [synthesize_and_verify(atomic_p, p, s).context for p, atomic_p, s in pairs[:6]]
+    strict = 0
+    for p, atomic_p, s in pairs[6:]:
+        for context in contexts:
+            report = verify_attack(p, atomic_p, context, (), None, s)
+            assert report.bv_impl <= report.bv_spec
+            strict += report.bv_impl < report.bv_spec
+    assert strict >= 20  # the contexts do tell P from atomic{P}
 
 
 TWO_HIDDEN_HEADER = parse("vis v : {0..1}; hid h : {0..2}; hid k : {0..1}; skip")

@@ -16,8 +16,12 @@ from conftest import (
     run_module,
     threebox_init,
 )
+from oracles import is_simple
+from hyperflow import refine
 from hyperflow.errors import NotRefinementMatrix
+from hyperflow.lp import solve_feasibility
 from hyperflow.matrix import RatMatrix
+from hyperflow.measures import ft
 from hyperflow.probcore import FiniteDist, vnum, vsym
 from hyperflow.refine import (
     NotRefined,
@@ -27,11 +31,11 @@ from hyperflow.refine import (
     check_refinement,
     decompose_refinement,
     extract_partition,
-    is_simple,
     reduce_partition,
     refines,
     similar,
 )
+from hyperflow.semantics import HyperDist, SplitState
 
 HVALS = [vnum(k) for k in range(4)]
 
@@ -193,6 +197,51 @@ def test_functional_mismatch_short_circuits():
     assert isinstance(result, NotRefined) and result.functional_mismatch
 
 
+def test_functional_equality_is_read_off_the_partitions(monkeypatch):
+    # equal fraction sums at every visible value, all checked before any
+    # LP runs, decide exactly what ft(spec) == ft(impl) decides
+    lp_calls = []
+
+    def counted(lp):
+        lp_calls.append(lp)
+        return solve_feasibility(lp)
+
+    monkeypatch.setattr(refine, "solve_feasibility", counted)
+    rng = random.Random(41)
+    vs = [vnum(k) for k in range(3)]
+
+    def shift(h):
+        return ht((int(h[0].payload) + 1) % len(HVALS))
+
+    def rotated(hyper_, at):
+        """The split-states at visible value `at` with their hidden values shifted."""
+        return HyperDist([(SplitState(s.v, s.delta.map(shift)) if s.v == at else s, w) for s, w in hyper_])
+
+    def moved(hyper_, at):
+        """The split-states at visible value `at` moved to a visible value of their own."""
+        return HyperDist([(SplitState((vnum(9),), s.delta) if s.v == at else s, w) for s, w in hyper_])
+
+    seen = {"equal": 0, "one v": 0, "one side": 0}
+    for _ in range(80):
+        spec = rand_hyper(rng, vs, HVALS)
+        at = rng.choice(spec.visible_values())
+        same = refine_hyper(rng, spec)
+        for impl in (same, rand_hyper(rng, vs, HVALS), rotated(same, at), moved(same, at)):
+            mismatch = ft(spec) != ft(impl)
+            lp_calls.clear()
+            result = check_refinement(spec, impl)
+            assert getattr(result, "functional_mismatch", False) == mismatch
+            if not mismatch:
+                seen["equal"] += 1
+                continue
+            assert result.v is None and not lp_calls
+            both = set(spec.visible_values()) | set(impl.visible_values())
+            unequal = [v for v in both if extract_partition(spec, v).total() != extract_partition(impl, v).total()]
+            seen["one v"] += len(unequal) == 1
+            seen["one side"] += set(spec.visible_values()) != set(impl.visible_values())
+    assert min(seen.values()) >= 20, seen
+
+
 def test_witnesses_compose_transitively():
     # R31 := R32 x R21 witnesses the composite refinement directly
     rng = random.Random(23)
@@ -224,7 +273,7 @@ def test_weight_preserved_under_refinement():
         result = check_refinement(h, merged)
         assert isinstance(result, RefinementWitness)
         for v in h.visible_values():
-            assert extract_partition(h, v).weight == extract_partition(merged, v).weight
+            assert extract_partition(h, v).total().weight == extract_partition(merged, v).total().weight
 
 
 # -- decomposition -----------------------------------------------------------------------
