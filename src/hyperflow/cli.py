@@ -170,8 +170,7 @@ def cmd_compare(args) -> int:
     if [d.domain for d in spec_scope.visible] != [d.domain for d in impl_scope.visible] or [
         d.domain for d in spec_scope.hidden
     ] != [d.domain for d in impl_scope.hidden]:
-        print("declared state spaces differ", file=sys.stderr)
-        return USAGE
+        raise UsageError("declared state spaces differ")
     states = _inits(args, spec_scope)
     verdicts = []
     all_hold = True
@@ -218,8 +217,7 @@ def cmd_attack(args) -> int:
     impl_m, _, _ = _load(args.impl, args)
     states = _inits(args, spec_scope)
     if len(states) != 1:
-        print("attack needs a single initial split-state", file=sys.stderr)
-        return USAGE
+        raise UsageError("attack needs a single initial split-state")
     report = synthesize_and_verify(spec_m, impl_m, states[0], method=args.method)
     ctx_text = pretty_print(report.context)
     if args.output:
@@ -259,8 +257,7 @@ def cmd_selftest(args) -> int:
 
     corpus = Path(args.corpus or os.environ.get("HYPERFLOW_CORPUS", "corpus"))
     if not corpus.is_dir():
-        print(f"corpus directory {corpus} not found", file=sys.stderr)
-        return USAGE
+        raise UsageError(f"corpus directory {corpus} not found")
     return OK if run_selftest(corpus) else FAIL
 
 

@@ -7,7 +7,9 @@ class HyperflowError(Exception):
 
 class UsageError(HyperflowError):
     """Malformed argument text (a number, a measure, an order or a
-    precision), or a program file that is not UTF-8."""
+    precision), a program file that is not UTF-8, programs whose declared
+    state spaces differ, several initial split-states for `attack`, or a
+    missing corpus directory."""
 
 
 # -- probability core ---------------------------------------------------

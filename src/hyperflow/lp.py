@@ -1,8 +1,10 @@
-"""Exact-rational linear programming.
+"""Exact-rational linear programming over x >= 0.
 
 A dense two-phase simplex with Bland's rule, used for refinement
 feasibility (with Farkas infeasibility certificates that feed attack
-synthesis) and for bounded maximisation (separation margins).  The
+synthesis) and for maximisation over x >= 0 (separation margins).  Every
+variable is nonnegative; a caller that needs other bounds substitutes
+and writes them as rows, so every infeasible LP gets a certificate.  The
 tableau is held fraction-free, as Python ints over one common positive
 denominator, and pivots divide exactly (Edmonds 1967, Bareiss 1968);
 Fractions appear only where a point, an optimum or a certificate is read
@@ -21,9 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import Infeasible, InternalError, LpError, Unbounded
-from .probcore import ONE, ZERO, rat
-
-Bound = tuple[Optional[Fraction], Optional[Fraction]]
+from .probcore import ZERO, rat
 
 
 @dataclass
@@ -44,23 +44,11 @@ class LinearProgram:
     num_vars: int
     constraints: list[Constraint] = field(default_factory=list)
     objective: Optional[list[Fraction]] = None  # maximised by solve_max
-    bounds: Optional[list[Bound]] = None  # default per-var (0, None)
 
     def add(self, coeffs: Sequence, rel: str, rhs) -> None:
         if len(coeffs) != self.num_vars:
             raise LpError("constraint length mismatch")
         self.constraints.append(Constraint(list(coeffs), rel, rhs))
-
-    def bound(self, j: int) -> Bound:
-        if self.bounds is None:
-            return (ZERO, None)
-        lo, hi = self.bounds[j]
-        return (None if lo is None else rat(lo), None if hi is None else rat(hi))
-
-    def all_default_bounds(self) -> bool:
-        return self.bounds is None or all(
-            lo == 0 and hi is None for lo, hi in (self.bound(j) for j in range(self.num_vars))
-        )
 
 
 @dataclass
@@ -163,95 +151,35 @@ def to_integers(values: Sequence[Fraction], lcm: Optional[int] = None) -> list[i
 @dataclass
 class _Standardised:
     tableau: _Tableau
-    n_struct: int  # structural columns (after bound substitution)
     art_start: int
     row_sign: list[int]  # +1 / -1 applied to make b >= 0
-    row_of: list[int]  # original constraint index per standard row
-    decode: "callable"
-    cost: Optional[list[int]]  # phase-2 cost over structural columns, scaled to ints
+    cost: Optional[list[int]]  # phase-2 cost over the variables, scaled to ints
 
 
 def _standardise(lp: LinearProgram) -> _Standardised:
     """Integer starting tableau [L*A | L*S | I | L*b], with one lcm L of the
     denominators.  One L for every row scales the artificials alike, so
     Bland's rule pivots as it would on the unscaled rows."""
-    # bound substitution: x = lo + x' (x' >= 0); free x = x+ - x-;
-    # finite upper bounds become extra <= rows
-    col_plus: list[int] = []
-    col_minus: list[Optional[int]] = []
-    shift: list[Fraction] = []
-    n_struct = 0
-    extra_rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for j in range(lp.num_vars):
-        lo, hi = lp.bound(j)
-        if lo is None:
-            col_plus.append(n_struct)
-            col_minus.append(n_struct + 1)
-            shift.append(ZERO)
-            n_struct += 2
-        else:
-            col_plus.append(n_struct)
-            col_minus.append(None)
-            shift.append(lo)
-            n_struct += 1
-        if hi is not None:
-            row = [ZERO] * lp.num_vars
-            row[j] = ONE
-            extra_rows.append((row, "<=", hi))
-
-    def expand(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        # each original column has standard columns of its own: assign, not add
-        out = [ZERO] * n_struct
-        base = ZERO
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            out[col_plus[j]] = c
-            if col_minus[j] is not None:
-                out[col_minus[j]] = -c
-            if shift[j]:
-                base += c * shift[j]
-        return out, base
-
-    originals = [(con.coeffs, con.rel, con.rhs) for con in lp.constraints]
-    rows: list[list[Fraction]] = []  # expanded coefficients, then the right-hand side
-    rels: list[str] = []
-    for coeffs, rel, b in originals + extra_rows:
-        out, base = expand(coeffs)
-        rows.append(out + [b - base])
-        rels.append(rel)
-    # bound rows map to no original constraint
-    row_of = [i if i < len(originals) else -1 for i in range(len(rows))]
-
-    m = len(rows)
-    slack_of = {i: k for k, i in enumerate(i for i, rel in enumerate(rels) if rel != "=")}
-    full_n = n_struct + len(slack_of)
-    lcm = math.lcm(*(x.denominator for row in rows for x in row))
+    cons = lp.constraints
+    m = len(cons)
+    slack_of = {i: k for k, i in enumerate(i for i, con in enumerate(cons) if con.rel != "=")}
+    full_n = lp.num_vars + len(slack_of)
+    lcm = math.lcm(*(x.denominator for con in cons for x in (*con.coeffs, con.rhs)))
     a_rows = []
     row_sign = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1
-        *struct, b = to_integers(row, lcm)
+    for i, con in enumerate(cons):
+        sign = -1 if con.rhs < 0 else 1
+        *struct, b = to_integers([*con.coeffs, con.rhs], lcm)
         slack = [0] * len(slack_of)
         if i in slack_of:
-            slack[slack_of[i]] = lcm if rels[i] == "<=" else -lcm
+            slack[slack_of[i]] = lcm if con.rel == "<=" else -lcm
         a_rows.append([sign * x for x in struct + slack] + [0] * m + [sign * b])
         a_rows[-1][full_n + i] = 1  # artificial columns seed the basis
         row_sign.append(sign)
     tab = _Tableau(a_rows, n=full_n + m)
     tab.basis = list(range(full_n, full_n + m))
-
-    def decode(x_std: list[Fraction]) -> list[Fraction]:
-        out = []
-        for j in range(lp.num_vars):
-            v = shift[j] + x_std[col_plus[j]]
-            if col_minus[j] is not None:
-                v -= x_std[col_minus[j]]
-            out.append(v)
-        return out
-
-    cost = None if lp.objective is None else to_integers(expand(lp.objective)[0])
-    return _Standardised(tab, n_struct, full_n, row_sign, row_of, decode, cost)
+    cost = None if lp.objective is None else to_integers(lp.objective)
+    return _Standardised(tab, full_n, row_sign, cost)
 
 
 def _phase1(std: _Standardised) -> int:
@@ -262,12 +190,9 @@ def _phase1(std: _Standardised) -> int:
 
 
 def _verify_point(lp: LinearProgram, x: list[Fraction]):
-    for j in range(lp.num_vars):
-        lo, hi = lp.bound(j)
-        if lo is not None and x[j] < lo:
-            raise InternalError(f"bound violated: x[{j}]={x[j]} < {lo}")
-        if hi is not None and x[j] > hi:
-            raise InternalError(f"bound violated: x[{j}]={x[j]} > {hi}")
+    for j, v in enumerate(x):
+        if v < 0:
+            raise InternalError(f"x >= 0 violated: x[{j}]={v}")
     for con in lp.constraints:
         lhs = sum((c * v for c, v in zip(con.coeffs, x)), ZERO)
         ok = lhs <= con.rhs if con.rel == "<=" else lhs >= con.rhs if con.rel == ">=" else lhs == con.rhs
@@ -276,8 +201,6 @@ def _verify_point(lp: LinearProgram, x: list[Fraction]):
 
 
 def _verify_certificate(lp: LinearProgram, y: list[Fraction]):
-    if not lp.all_default_bounds():
-        raise InternalError("certificates only supported for x >= 0 problems")
     if len(y) != len(lp.constraints):
         raise InternalError("certificate length mismatch")
     for i, con in enumerate(lp.constraints):
@@ -293,9 +216,9 @@ def _verify_certificate(lp: LinearProgram, y: list[Fraction]):
         raise InternalError("certificate violates y.b > 0")
 
 
-def _extract_certificate(lp: LinearProgram, std: _Standardised) -> list[Fraction]:
-    """Duals of the phase-1 optimum: y = c_B B^-1 over standard rows, then
-    mapped back through row negation to the original constraints.
+def _extract_certificate(std: _Standardised) -> list[Fraction]:
+    """Duals of the phase-1 optimum: y = c_B B^-1, one per constraint, with
+    each row's negation undone.
 
     The artificial columns started as the identity, so they now hold d
     times B^-1, and c_B is one exactly on the rows whose basic column is
@@ -304,26 +227,21 @@ def _extract_certificate(lp: LinearProgram, std: _Standardised) -> list[Fraction
     """
     tab = std.tableau
     art_rows = [ar for ar, j in zip(tab.a, tab.basis) if j >= std.art_start]
-    y = [ZERO] * len(lp.constraints)
-    for k, i in enumerate(std.row_of):
-        if i >= 0:
-            col = std.art_start + k
-            y[i] = Fraction(std.row_sign[k] * sum(row[col] for row in art_rows), tab.d)
-    return y
+    return [
+        Fraction(sign * sum(row[std.art_start + i] for row in art_rows), tab.d)
+        for i, sign in enumerate(std.row_sign)
+    ]
 
 
 def solve_feasibility(lp: LinearProgram):
-    """Find an exact feasible point, or a verified Farkas certificate.
-
-    Certificates require the default bounds (all variables >= 0).
-    """
+    """Find an exact feasible point, or a verified Farkas certificate."""
     std = _standardise(lp)
     opt = _phase1(std)
     if opt > 0:
-        y = _extract_certificate(lp, std)
+        y = _extract_certificate(std)
         _verify_certificate(lp, y)
         return InfeasibleCert(y)
-    x = std.decode(std.tableau.solution())
+    x = std.tableau.solution()[: lp.num_vars]
     _verify_point(lp, x)
     return Feasible(x)
 
@@ -346,9 +264,9 @@ def solve_max(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                     tab.pivot(r, j)
                     break
     banned = frozenset(range(std.art_start, tab.n))
-    cost = [-c for c in std.cost] + [0] * (tab.n - std.n_struct)
+    cost = [-c for c in std.cost] + [0] * (tab.n - lp.num_vars)
     tab.minimise(cost, banned)
-    x = std.decode(tab.solution())
+    x = tab.solution()[: lp.num_vars]
     _verify_point(lp, x)
     value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
     return value, x

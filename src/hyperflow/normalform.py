@@ -28,8 +28,6 @@ from .semantics import (
     SplitState,
     _branch,
     _classical,
-    _consts,
-    _env_of,
     _split_state,
 )
 
@@ -70,11 +68,10 @@ def _dense(rows: list[dict], n: int) -> RatMatrix:
 def classical_rows(p: A.Program, index: StateIndex) -> list[dict]:
     """The classical relational meaning as sparse rows: row i maps each
     position reachable from pairs[i] to its nonzero weight."""
-    consts = _consts(index.scope)
     rows = []
     for v, h in index.pairs:
         row = {}
-        for vh, w in _classical(p, index.scope, v, h, consts):
+        for vh, w in _classical(p, index.scope, v, h):
             j = index.positions[vh]
             row[j] = row.get(j, ZERO) + w
         rows.append({j: w for j, w in row.items() if w})
@@ -131,8 +128,7 @@ def _nf(p: A.Program, index: StateIndex, blocks: list, *, keep_zero: bool) -> li
         return blocks
     if isinstance(p, (A.GeneralChoice, A.Cond)):
         weight_at, left, right = _branch(p)
-        consts = _consts(index.scope)
-        weights = [weight_at(_env_of(index.scope, v, h, consts)) for v, h in index.pairs]
+        weights = [weight_at(index.scope.env(v, h)) for v, h in index.pairs]
 
         def scaled(ws):
             return [[{j: a * ws[j] for j, a in row.items() if ws[j]} for row in block] for block in blocks]

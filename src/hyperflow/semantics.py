@@ -56,6 +56,7 @@ class Scope:
         slots = {d.name: (False, i, d) for i, d in enumerate(self.hidden)}
         slots.update({d.name: (True, i, d) for i, d in enumerate(self.visible)})
         object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_consts", base_env(self.visible + self.hidden))
 
     @classmethod
     def of_module(cls, module: A.Module) -> "Scope":
@@ -78,6 +79,13 @@ class Scope:
 
     def hidden_names(self):
         return self._hid_names
+
+    def env(self, v: tuple, h: tuple) -> dict:
+        """The environment at (v, h): the enum constants, then the variables."""
+        env = dict(self._consts)
+        env.update(zip(self._vis_names, v))
+        env.update(zip(self._hid_names, h))
+        return env
 
     def _slot(self, name: str) -> tuple[bool, int, A.VarDecl]:
         """(is visible, index in its tuple, declaration) of a variable."""
@@ -235,17 +243,6 @@ def eval_dist(d: A.DistExpr, env) -> FiniteDist:
     return FiniteDist(pairs)
 
 
-def _env_of(scope: Scope, v: tuple, h: tuple, consts: dict) -> dict:
-    env = dict(consts)
-    env.update(zip(scope.visible_names(), v))
-    env.update(zip(scope.hidden_names(), h))
-    return env
-
-
-def _consts(scope: Scope) -> dict:
-    return base_env(scope.visible + scope.hidden)
-
-
 def _check_domain(decl: A.VarDecl, value: Value):
     if value not in decl.domain:
         raise EvalError(f"value {value} outside the domain of {decl.name}")
@@ -263,11 +260,11 @@ def _branch(p):
 
 
 def _block(p: A.LocalBlock, scope: Scope):
-    """A local block as (statement, scope) steps, and the block's constants.
+    """A local block as (statement, scope) steps.
 
     Each local is entered by a choice of its initial value, run in the
     scope that declares it from a state that does not hold it yet:
-    `_env_of` leaves it unbound, so the initialiser reads only the locals
+    `Scope.env` leaves it unbound, so the initialiser reads only the locals
     declared before it, and the write appends it to v or h.
     """
     steps = []
@@ -277,7 +274,7 @@ def _block(p: A.LocalBlock, scope: Scope):
             tuple(A.Lit(v) for v in ld.decl.domain.values)
         )
         steps.append((A.Choose(ld.decl.name, init), scope))
-    return steps + [(p.body, scope)], _consts(scope)
+    return steps + [(p.body, scope)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +288,17 @@ def classical_eval(p: A.Program, scope: Scope, state: tuple[tuple, tuple]) -> Fi
     Returns a full distribution over (visible tuple, hidden tuple) pairs.
     The program must be desugared (no reveal, no xor-assign).
     """
-    return FiniteDist(_classical(p, scope, state[0], state[1], _consts(scope)))
+    return FiniteDist(_classical(p, scope, state[0], state[1]))
 
 
-def _classical_then(states, p, scope: Scope, consts) -> FiniteDist:
+def _classical_then(states, p, scope: Scope) -> FiniteDist:
     """Run p from each weighted (v, h) of states, merging equal outcomes."""
     return FiniteDist(
-        [(st, w * w2) for (v, h), w in states for st, w2 in _classical(p, scope, v, h, consts)]
+        [(st, w * w2) for (v, h), w in states for st, w2 in _classical(p, scope, v, h)]
     )
 
 
-def _classical(p, scope: Scope, v, h, consts):
+def _classical(p, scope: Scope, v, h):
     """((v', h'), weight) pairs of p's classical meaning from (v, h).
 
     The weights sum to 1; a point may occur more than once.
@@ -309,7 +306,7 @@ def _classical(p, scope: Scope, v, h, consts):
     if isinstance(p, A.Skip):
         return [((v, h), ONE)]
     if isinstance(p, (A.Assign, A.Choose)):
-        env = _env_of(scope, v, h, consts)
+        env = scope.env(v, h)
         if isinstance(p, A.Assign):
             dist = ((eval_expr(p.expr, env), ONE),)
         else:
@@ -326,25 +323,24 @@ def _classical(p, scope: Scope, v, h, consts):
     if isinstance(p, A.Seq):
         states = [((v, h), ONE)]
         for q in p.stmts:
-            states = _classical_then(states, q, scope, consts)
+            states = _classical_then(states, q, scope)
         return states
     if isinstance(p, (A.Cond, A.GeneralChoice)):
         weight_at, left, right = _branch(p)
-        q = weight_at(_env_of(scope, v, h, consts))
+        q = weight_at(scope.env(v, h))
         if q == 1:
-            return _classical(left, scope, v, h, consts)
+            return _classical(left, scope, v, h)
         if q == 0:
-            return _classical(right, scope, v, h, consts)
-        return [(st, q * w) for st, w in _classical(left, scope, v, h, consts)] + [
-            (st, (1 - q) * w) for st, w in _classical(right, scope, v, h, consts)
+            return _classical(right, scope, v, h)
+        return [(st, q * w) for st, w in _classical(left, scope, v, h)] + [
+            (st, (1 - q) * w) for st, w in _classical(right, scope, v, h)
         ]
     if isinstance(p, A.Atomic):
-        return _classical(p.body, scope, v, h, consts)
+        return _classical(p.body, scope, v, h)
     if isinstance(p, A.LocalBlock):
-        steps, inner_consts = _block(p, scope)
         states = [((v, h), ONE)]
-        for q, q_scope in steps:
-            states = _classical_then(states, q, q_scope, inner_consts)
+        for q, q_scope in _block(p, scope):
+            states = _classical_then(states, q, q_scope)
         nv, nh = len(scope.visible), len(scope.hidden)
         return [((v1[:nv], h1[:nh]), w) for (v1, h1), w in states]
     if isinstance(p, (A.Reveal, A.XorAssign)):
@@ -393,19 +389,19 @@ def eval_atomic_block(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
     consistent with the visible output: perfect recall and implicit flow
     inside p are both suppressed.
     """
-    return _atomic(p, scope, s, _consts(scope))
+    return _atomic(p, scope, s)
 
 
-def _atomic(p, scope: Scope, s: SplitState, consts) -> HyperDist:
+def _atomic(p, scope: Scope, s: SplitState) -> HyperDist:
     """The kernel: p's classical meaning from each hidden point of s, then Hide."""
     return hide_embed(
-        [(st, w * w2) for h, w in s.delta for st, w2 in _classical(p, scope, s.v, h, consts)]
+        [(st, w * w2) for h, w in s.delta for st, w2 in _classical(p, scope, s.v, h)]
     )
 
 
 def eval(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
     """Hyper-distribution semantics of a validated, desugared program."""
-    return _eval(p, scope, s, _consts(scope))
+    return _eval(p, scope, s)
 
 
 def eval_module(module: A.Module, s: SplitState) -> HyperDist:
@@ -416,22 +412,22 @@ def eval_module(module: A.Module, s: SplitState) -> HyperDist:
     return eval(desugared.body, Scope.of_module(desugared), s)
 
 
-def _then(hyper: HyperDist, p, scope: Scope, consts) -> HyperDist:
+def _then(hyper: HyperDist, p, scope: Scope) -> HyperDist:
     """Run p from each split-state of hyper, merging equal outcomes."""
     return HyperDist(
-        [(st2, w * w2) for st, w in hyper for st2, w2 in _eval(p, scope, st, consts)]
+        [(st2, w * w2) for st, w in hyper for st2, w2 in _eval(p, scope, st)]
     )
 
 
-def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
+def _eval(p, scope: Scope, s: SplitState) -> HyperDist:
     if isinstance(p, A.Skip):
         return HyperDist.point(s)
     if isinstance(p, (A.Assign, A.Choose, A.Atomic)):
-        return _atomic(p, scope, s, consts)
+        return _atomic(p, scope, s)
     if isinstance(p, A.Seq):
         hyper = HyperDist.point(s)
         for q in p.stmts:
-            hyper = _then(hyper, q, scope, consts)
+            hyper = _then(hyper, q, scope)
         return hyper
     if isinstance(p, (A.Cond, A.GeneralChoice)):
         # an observer sees which branch ran, and each branch's entry
@@ -439,7 +435,7 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
         weight_at, left, right = _branch(p)
         taken, not_taken = [], []
         for h, w in s.delta:
-            q = weight_at(_env_of(scope, s.v, h, consts))
+            q = weight_at(scope.env(s.v, h))
             if q:
                 taken.append((h, w * q))
             if q != 1:
@@ -448,13 +444,12 @@ def _eval(p, scope: Scope, s: SplitState, consts) -> HyperDist:
         for branch, entries in ((left, taken), (right, not_taken)):
             if entries:
                 st, prob = _split_state(s.v, entries)
-                acc += [(st2, prob * w2) for st2, w2 in _eval(branch, scope, st, consts)]
+                acc += [(st2, prob * w2) for st2, w2 in _eval(branch, scope, st)]
         return HyperDist(acc)
     if isinstance(p, A.LocalBlock):
-        steps, inner_consts = _block(p, scope)
         hyper = HyperDist.point(s)
-        for q, q_scope in steps:
-            hyper = _then(hyper, q, q_scope, inner_consts)
+        for q, q_scope in _block(p, scope):
+            hyper = _then(hyper, q, q_scope)
         # exit: erase local visibles from v (their observations persist as
         # outer splitting), then marginalise local hiddens out of delta
         nv, nh = len(scope.visible), len(scope.hidden)

@@ -85,6 +85,15 @@ def test_vertex_direction_separates_and_agrees_with_certificate_route():
     assert d.x.dot(pi_i.matrix(d.h_columns)) - hi >= d.margin
 
 
+def test_vertex_direction_is_pinned():
+    # the margin LP solves for Y = X + 1 over x >= 0; X is read back exactly
+    d = separating_direction_by_vertices(*paper_partitions())
+    assert d.h_columns == [ht(1), ht(3)]
+    assert d.x == RatMatrix([[1, -1], [F(1, 2), F(1, 2)], [-1, 1]])
+    assert d.margin == F(1, 6)
+    assert all(-1 <= q <= 1 for row in d.x.rows for q in row)
+
+
 def test_vertex_budget():
     from hyperflow.errors import VertexBudgetExceeded
 

@@ -456,6 +456,21 @@ def test_an_undecodable_program_file_is_named(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", str(CORPUS / "P4.hprog"), str(CORPUS / "threebox_S.hprog"), "--order", "refine", "--init", "v=0"),
+        ("attack", str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog"), "--init", "v=0; h~sample:2"),
+        ("selftest", "--corpus", "/nonexistent-corpus"),
+    ],
+    ids=["state-spaces-differ", "attack-several-inits", "corpus-missing"],
+)
+def test_refusals_print_one_error_line(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 _S, _ENC = str(CORPUS / "threebox_S.hprog"), str(CORPUS / "encryption_lemma.hprog")
 _P4, _P2 = str(CORPUS / "P4.hprog"), str(CORPUS / "P2.hprog")
 _JUDGES = str(CORPUS / "three_judges_fig2.hprog")

@@ -1,5 +1,6 @@
 """Partitions, similarity, LP refinement decisions, and decomposition."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -350,24 +351,32 @@ def merge_partition(rng, pi, rows):
     return Partition.of(merged)
 
 
-def presolve_pairs(seed, count):
+def presolve_pairs(seed, count, hidden_vars=1):
     """Seeded (pi_s, pi_i) pairs: refining merges and their non-refining
     reverses, equal partitions, and unrelated pairs of equal weight, with
-    between 2 and 12 hidden values against 2 to 6 fractions."""
+    between 2 and 12 hidden values against 2 to 6 fractions.  With two
+    hidden variables, hidden value k is the pair (k mod 2, k div 2)."""
     rng = random.Random(seed)
+
+    def points(pi):
+        if hidden_vars == 1:
+            return pi
+        return Partition.of([f.map(lambda h: ht(h[0].payload % 2, h[0].payload // 2)) for f in pi.fractions])
+
     for k in range(count):
         n_h = rng.choice([2, 3, 4, 8, 12])
         fine = rand_partition(rng, rng.randint(2, 4), n_h)
         coarse = merge_partition(rng, fine, rng.randint(1, len(fine)))
         kind = k % 4
         if kind == 0:
-            yield fine, coarse
+            pair = fine, coarse
         elif kind == 1:
-            yield coarse, fine
+            pair = coarse, fine
         elif kind == 2:
-            yield fine, Partition.of(fine.fractions)
+            pair = fine, Partition.of(fine.fractions)
         else:
-            yield fine, rand_partition(rng, rng.randint(1, 3), n_h)
+            pair = fine, rand_partition(rng, rng.randint(1, 3), n_h)
+        yield tuple(map(points, pair))
 
 
 def _rank(vectors):
@@ -397,8 +406,9 @@ def test_presolved_lp_agrees_with_the_plain_lp():
         refinement_lp,
     )
 
-    seen = {"refined": 0, "not refined": 0, "reduced": 0, "full rank": 0, "equal": 0, "wide": 0}
-    for pi_s, pi_i in presolve_pairs(611, 160):
+    seen = {"refined": 0, "not refined": 0, "reduced": 0, "full rank": 0, "equal": 0, "wide": 0, "two hidden": 0}
+    pairs = itertools.chain(presolve_pairs(611, 160), presolve_pairs(615, 80, hidden_vars=2))
+    for pi_s, pi_i in pairs:
         h_columns = hidden_columns(pi_s, pi_i)
         mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
         full = refinement_lp(mat_s, mat_i)
@@ -413,6 +423,7 @@ def test_presolved_lp_agrees_with_the_plain_lp():
             seen["full rank"] += 1
         # more hidden columns than the stacked matrix has rows
         seen["wide"] += len(h_columns) > len(pi_s) + len(pi_i)
+        seen["two hidden"] += len(h_columns[0]) == 2
         if witness is not None:
             seen["refined"] += 1
             assert cert is None
