@@ -1,45 +1,81 @@
 """AST for the analysis language.
 
-Nodes are frozen dataclasses; source positions are carried on the side
-(compare=False) so that structural equality ignores layout, which is what
-the parse/pretty-print round-trip law needs.
+Nodes share one slotted `Node` base; source positions are carried on the
+side, outside equality, so that structural equality ignores layout, which
+is what the parse/pretty-print round-trip law needs.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
-from ..probcore import Domain, Value
+
+class Node:
+    """An immutable record of the fields named in `_fields`.
+
+    As in CPython's `ast.AST`, the constructor, equality, hashing and repr
+    are written once here and read `_fields`, which each class also
+    declares as its `__slots__`.  The constructor takes the fields in
+    order, then the optional source position `pos`, positionally or by
+    keyword.  `pos` is left out of equality, hashing and repr.
+    """
+
+    __slots__ = ("pos",)
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, pos=None):
+        fields = self._fields
+        if len(args) == len(fields) + 1:
+            *args, pos = args
+        elif len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "pos", pos)
+
+    def field_values(self) -> tuple:
+        """The values of the fields, in `_fields` order."""
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__ and self.field_values() == other.field_values()
+        )
+
+    def __hash__(self):
+        return hash(self.field_values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable node")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Pos:
-    line: int
-    col: int
-
-
-def _pos_field():
-    return field(default=None, compare=False, repr=False)
+class Pos(Node):
+    __slots__ = _fields = ("line", "col")
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Visibility:
+class Visibility(Node):
     """Global-visible, global-hidden, or visible to a set of agents."""
 
-    kind: str  # 'vis' | 'hid'
-    agents: Optional[tuple[str, ...]] = None  # only with kind == 'vis'
+    __slots__ = _fields = ("kind", "agents")  # 'vis' | 'hid'; agents only with 'vis'
 
-    def __post_init__(self):
-        if self.kind not in ("vis", "hid"):
-            raise ValueError(self.kind)
-        if self.agents is not None and self.kind != "vis":
+    def __init__(self, kind: str, agents: Optional[tuple[str, ...]] = None):
+        if kind not in ("vis", "hid"):
+            raise ValueError(kind)
+        if agents is not None and kind != "vis":
             raise ValueError("agent sets only apply to vis")
+        super().__init__(kind, agents)
 
     def __str__(self):
         if self.kind == "hid":
@@ -53,60 +89,48 @@ VIS = Visibility("vis")
 HID = Visibility("hid")
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    domain: Domain
-    visibility: Visibility
-    pos: Optional[Pos] = _pos_field()
+class VarDecl(Node):
+    __slots__ = _fields = ("name", "domain", "visibility")
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-class Expr:
-    pass
+class Expr(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lit(Expr):
-    value: Value
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
 class Name(Expr):
-    ident: str
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("ident",)
 
 
-@dataclass(frozen=True)
 class Unop(Expr):
-    op: str  # '-' | 'not'
-    operand: Expr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("op", "operand")  # op: '-' | 'not'
 
 
-@dataclass(frozen=True)
 class Binop(Expr):
-    op: str  # a key of BINOPS
-    left: Expr
-    right: Expr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("op", "left", "right")  # op: a key of BINOPS
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Node):
     """A binary operator.  Operand kinds: 'bool'; 'num' (booleans count as
     0/1); 'int' (a 'num' that must be an integer at run time); 'any' (any value)."""
 
-    level: int  # binding strength; a greater level binds tighter
-    operand: str  # 'bool' | 'num' | 'int' | 'any'
-    result: str  # 'bool' | 'num'
-    fn: Callable
-    by_zero: Optional[str] = None  # run-time error text for a zero right operand
-    decides: Optional[bool] = None  # a left operand equal to this is the result
+    # level: binding strength, a greater level binds tighter; operand:
+    # 'bool' | 'num' | 'int' | 'any'; result: 'bool' | 'num'; by_zero: run-time
+    # error text for a zero right operand; decides: a left operand equal to
+    # this is the result
+    __slots__ = _fields = ("level", "operand", "result", "fn", "by_zero", "decides")
+
+    def __init__(
+        self, level: int, operand: str, result: str, fn: Callable, by_zero=None, decides=None
+    ):
+        super().__init__(level, operand, result, fn, by_zero, decides)
 
 
 # Binding levels, loosest first: 0 is the conditional expression, then the
@@ -130,50 +154,40 @@ BINOPS: dict[str, Op] = {
     "*": Op(7, "num", "num", operator.mul),
     "div": Op(7, "int", "num", operator.floordiv, "div by zero"),
     "mod": Op(7, "int", "num", operator.mod, "mod by zero"),
-    "/": Op(7, "num", "num", operator.truediv, "division by zero"),
+    "/": Op(7, "num", "num", Fraction, "division by zero"),  # exact: Fraction(a, b)
 }
 
 
-@dataclass(frozen=True)
 class IfExpr(Expr):
     """`then_branch if guard else else_branch` (guard in the middle)."""
 
-    then_branch: Expr
-    guard: Expr
-    else_branch: Expr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("then_branch", "guard", "else_branch")
 
 
 # ---------------------------------------------------------------------------
 # Distribution expressions
 # ---------------------------------------------------------------------------
 
-class DistExpr:
-    pass
+class DistExpr(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class DistExplicit(DistExpr):
-    entries: tuple[tuple[Expr, Expr], ...]  # (value expr, probability expr)
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("entries",)  # ((value expr, probability expr), ...)
 
 
-@dataclass(frozen=True)
 class DistUniform(DistExpr):
-    exprs: tuple[Expr, ...]
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("exprs",)
 
 
-@dataclass(frozen=True, init=False)
 class DistCond(DistExpr):
     """`(d1 if g1 else (d2 if g2 else d3))`: the then-branch of the first
     arm whose guard holds, else `otherwise`.  The constructor takes the arms
     flat, DistCond(d1, g1, d2, g2, d3), and absorbs a DistCond otherwise as
     Seq absorbs a Seq; a then-branch conditional stays nested."""
 
-    arms: tuple[tuple[DistExpr, Expr], ...]  # (then, guard)
-    otherwise: DistExpr
-    pos: tuple[Optional[Pos], ...] = _pos_field()  # one per arm
+    # arms: ((then, guard), ...); pos: a tuple with one position per arm
+    __slots__ = _fields = ("arms", "otherwise")
 
     def __init__(self, *parts, pos: Optional[tuple] = None):
         *flat, otherwise = parts
@@ -183,49 +197,35 @@ class DistCond(DistExpr):
         pos = pos or (None,) * len(arms)
         if isinstance(otherwise, DistCond):
             arms, pos, otherwise = arms + otherwise.arms, pos + otherwise.pos, otherwise.otherwise
-        object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "otherwise", otherwise)
-        object.__setattr__(self, "pos", pos)
+        super().__init__(arms, otherwise, pos=pos)
 
 
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
 
-class Program:
-    pass
+class Program(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Skip(Program):
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Assign(Program):
-    target: str
-    expr: Expr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("target", "expr")
 
 
-@dataclass(frozen=True)
 class Choose(Program):
-    target: str
-    dist: DistExpr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("target", "dist")
 
 
-@dataclass(frozen=True)
 class XorAssign(Program):
     """`(x xor y) := e`: set x,y jointly so that x xor y = e, uniformly."""
 
-    first: str
-    second: str
-    expr: Expr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("first", "second", "expr")
 
 
-@dataclass(frozen=True, init=False)
 class Seq(Program):
     """Two or more statements run in order; none of them is a Seq.
 
@@ -233,66 +233,45 @@ class Seq(Program):
     Seq arguments: Seq(Seq(a, b), c) == Seq(a, Seq(b, c)) == Seq(a, b, c).
     """
 
-    stmts: tuple[Program, ...]
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("stmts",)
 
     def __init__(self, *stmts: Program, pos: Optional[Pos] = None):
         flat = tuple(q for p in stmts for q in (p.stmts if isinstance(p, Seq) else (p,)))
         if len(flat) < 2:
             raise ValueError("a sequence needs at least two statements")
-        object.__setattr__(self, "stmts", flat)
-        object.__setattr__(self, "pos", pos)
+        super().__init__(flat, pos=pos)
 
 
-@dataclass(frozen=True)
 class GeneralChoice(Program):
     """Run left with probability prob (an expression in v,h), else right."""
 
-    left: Program
-    prob: Expr
-    right: Program
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("left", "prob", "right")
 
 
-@dataclass(frozen=True)
 class Cond(Program):
-    guard: Expr
-    then_branch: Program
-    else_branch: Program
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("guard", "then_branch", "else_branch")
 
 
-@dataclass(frozen=True)
 class Atomic(Program):
-    body: Program
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class Reveal(Program):
-    expr: Expr
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("expr",)
 
 
-@dataclass(frozen=True)
-class LocalDecl:
-    decl: VarDecl
-    init: Optional[DistExpr]  # None only under the uniform-default flag
+class LocalDecl(Node):
+    __slots__ = _fields = ("decl", "init")  # init is None only under the uniform-default flag
 
 
-@dataclass(frozen=True)
 class LocalBlock(Program):
-    decls: tuple[LocalDecl, ...]
-    body: Program
-    pos: Optional[Pos] = _pos_field()
+    __slots__ = _fields = ("decls", "body")
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Node):
     """A parsed source file: global declarations plus one program."""
 
-    decls: tuple[VarDecl, ...]
-    body: Program
+    __slots__ = _fields = ("decls", "body")
 
     def decl_map(self) -> dict[str, VarDecl]:
         return {d.name: d for d in self.decls}
@@ -304,15 +283,10 @@ def statements(p: Program) -> tuple[Program, ...]:
 
 
 def _children(p: Program) -> tuple[Program, ...]:
+    """The child programs: a sequence's statements, else the fields that are programs."""
     if isinstance(p, Seq):
         return p.stmts
-    if isinstance(p, GeneralChoice):
-        return p.left, p.right
-    if isinstance(p, Cond):
-        return p.then_branch, p.else_branch
-    if isinstance(p, (Atomic, LocalBlock)):
-        return (p.body,)
-    return ()
+    return tuple([x for x in p.field_values() if isinstance(x, Program)])
 
 
 def walk(p: Program):
@@ -332,15 +306,9 @@ def map_children(p: Program, f) -> Program:
     """
     if isinstance(p, Seq):
         return Seq(*map(f, p.stmts), pos=p.pos)
-    if isinstance(p, GeneralChoice):
-        return GeneralChoice(f(p.left), p.prob, f(p.right), p.pos)
-    if isinstance(p, Cond):
-        return Cond(p.guard, f(p.then_branch), f(p.else_branch), p.pos)
-    if isinstance(p, Atomic):
-        return Atomic(f(p.body), p.pos)
-    if isinstance(p, LocalBlock):
-        return LocalBlock(p.decls, f(p.body), p.pos)
-    return p
+    if not _children(p):
+        return p
+    return type(p)(*[f(x) if isinstance(x, Program) else x for x in p.field_values()], pos=p.pos)
 
 
 def declarations(module: Module):

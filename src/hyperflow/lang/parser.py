@@ -148,10 +148,14 @@ class Parser:
             if lo > hi:
                 self.fail("empty range domain")
             return tuple(vnum(k) for k in range(lo, hi + 1))
-        values = [first]
+        values = {first: None}  # ordered, with O(1) membership
         while self.at(","):
             self.next()
-            values.append(self.parse_domain_value())
+            t = self.peek()
+            value = self.parse_domain_value()
+            if value in values:
+                raise HprogSyntaxError(f"duplicate domain value {value}", t.line, t.col)
+            values[value] = None
         self.expect("}")
         return tuple(values)
 
@@ -166,8 +170,10 @@ class Parser:
             num = int(t.text)
             if self.at("/"):
                 self.next()
-                den = int(self.expect("int").text)
-                q = Fraction(num, den)
+                d = self.expect("int")
+                if not int(d.text):
+                    raise HprogSyntaxError("zero denominator in a domain value", d.line, d.col)
+                q = Fraction(num, int(d.text))
             else:
                 q = Fraction(num)
             return vnum(-q if neg else q)

@@ -75,13 +75,7 @@ def _expr_value_range(expr: A.Expr, decls: dict[str, A.VarDecl]):
 def _free_names(e: A.Expr) -> set[str]:
     if isinstance(e, A.Name):
         return {e.ident}
-    if isinstance(e, A.Unop):
-        return _free_names(e.operand)
-    if isinstance(e, A.Binop):
-        return _free_names(e.left) | _free_names(e.right)
-    if isinstance(e, A.IfExpr):
-        return _free_names(e.then_branch) | _free_names(e.guard) | _free_names(e.else_branch)
-    return set()
+    return set().union(*[_free_names(x) for x in e.field_values() if isinstance(x, A.Expr)])
 
 
 class _Desugarer:

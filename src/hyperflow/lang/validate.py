@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ..probcore import rat
 from . import ast as A
 
 
@@ -32,7 +33,8 @@ class _Checker:
         self.module = module
         self.allow_uniform_init = allow_uniform_init
         self.diags: list[Diagnostic] = []
-        # enum constants from every domain in the file, globals and locals
+        # enum constants from every domain in the file, globals and locals:
+        # no variable may share a name with one
         self.enum_consts = {
             v.payload
             for d in A.declarations(module)
@@ -49,19 +51,29 @@ class _Checker:
     # -- driver -------------------------------------------------------------
 
     def run(self) -> list[Diagnostic]:
-        scope: dict[str, A.VarDecl] = {}
+        # a scope maps each name in scope to its declaration, or to the enum
+        # constant it names: as in `Scope.env`, the constants of the domains
+        # declared so far, under the variables
+        scope: dict[str, object] = {}
         for d in self.module.decls:
             self._declare(scope, d)
         self.check_stmt(self.module.body, scope, in_atomic=False)
         return self.diags
 
+    @staticmethod
+    def _enter_constants(scope, decl: A.VarDecl):
+        for v in decl.domain.values:
+            if v.kind == "sym":
+                scope.setdefault(v.payload, v)
+
     def _declare(self, scope, decl: A.VarDecl):
-        if decl.name in scope:
+        if isinstance(scope.get(decl.name), A.VarDecl):
             self.error("DuplicateDeclaration", f"{decl.name} is already declared", decl.pos)
         if decl.name in self.enum_consts:
             self.error(
                 "NameClash", f"{decl.name} is both a variable and a domain value", decl.pos
             )
+        self._enter_constants(scope, decl)
         scope[decl.name] = decl
 
     # -- statements -----------------------------------------------------------
@@ -137,7 +149,9 @@ class _Checker:
                             ld.decl.pos,
                         )
                 else:
-                    # the init may read earlier locals but not the new one
+                    # the init may read earlier locals and the new one's
+                    # constants, but not the new one
+                    self._enter_constants(inner, ld.decl)
                     self.check_dist(ld.init, inner, ld.decl)
                 self._declare(inner, ld.decl)
             self.check_stmt(p.body, inner, in_atomic)
@@ -146,8 +160,9 @@ class _Checker:
 
     def _lookup_var(self, scope, name, pos) -> Optional[A.VarDecl]:
         decl = scope.get(name)
-        if decl is None:
+        if not isinstance(decl, A.VarDecl):
             self.error("UndeclaredVariable", f"assignment to undeclared variable {name}", pos)
+            return None
         return decl
 
     def _check_assignable(self, decl: A.VarDecl, kind, expr, pos):
@@ -222,9 +237,9 @@ class _Checker:
             return e.value.kind
         if isinstance(e, A.Name):
             decl = scope.get(e.ident)
-            if decl is not None:
+            if isinstance(decl, A.VarDecl):
                 return domain_kind(decl.domain)
-            if e.ident in self.enum_consts:
+            if decl is not None:
                 return "sym"
             self.error("UndeclaredVariable", f"{e.ident} is not declared", e.pos)
             return None
@@ -285,7 +300,7 @@ def _const_value(e: A.Expr) -> Optional[Fraction]:
         return None
     if op.operand == "int" and (left.denominator != 1 or right.denominator != 1):
         return None  # refused at run time, as a non-integer operand
-    return Fraction(op.fn(left, right))
+    return rat(op.fn(left, right))  # refuses an inexact result
 
 
 def validate(module: A.Module, allow_uniform_init: bool = False) -> list[Diagnostic]:

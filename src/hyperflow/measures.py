@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import mpmath
+from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainMismatch, UsageError
 from .probcore import ZERO, FiniteDist, parse_rat, rat
 from .semantics import HyperDist
+
+if TYPE_CHECKING:  # imported where it is used, so other questions skip its import
+    import mpmath
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
@@ -117,11 +118,13 @@ class ShannonValue:
         return float(self.value)
 
     def str_value(self, digits: int = 30) -> str:
+        import mpmath
+
         return mpmath.nstr(self.value, digits, strip_zeros=False)
 
 
 def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)
     q = Fraction(-man if sign else man)
@@ -144,6 +147,8 @@ def _shannon(pairs, precision: int) -> ShannonValue:
         raise ValueError(
             f"entropy precision must be at least {MIN_PRECISION_BITS} bits, got {precision}"
         )
+    import mpmath
+
     with mpmath.workprec(precision + 32):
         total = mpmath.mpf(0)
         for outer_w, dist_pairs in pairs:

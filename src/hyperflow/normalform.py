@@ -21,7 +21,7 @@ from typing import Optional
 from .errors import InternalError, UnsupportedConstruct
 from .lang import ast as A
 from .matrix import RatMatrix
-from .probcore import ONE, ZERO
+from .probcore import ONE, ZERO, FiniteDist
 from .semantics import (
     HyperDist,
     Scope,
@@ -156,7 +156,8 @@ def eval_via_normal_form(p: A.Program, scope: Scope, s: SplitState) -> HyperDist
         places = {j // nh for j in row}
         if len(places) != 1:
             raise InternalError("normal-form row is not V-unique")
-        st, w = _split_state(index.v_tuples[places.pop()], [(index.pairs[j][1], x) for j, x in row.items()])
+        part = FiniteDist([(index.pairs[j][1], x) for j, x in row.items()])
+        st, w = _split_state(index.v_tuples[places.pop()], part)
         pairs.append((st, w))
     return HyperDist(pairs)
 

@@ -1,16 +1,20 @@
 """Exact rational arithmetic, finite values, and discrete (sub-)distributions.
 
-Everything here is exact: weights are `fractions.Fraction`, never floats.
+Everything here is exact, never floats.  A distribution holds integer
+numerators over one reduced denominator; iteration yields `Fraction`s.
 Distributions are immutable, canonical (zero weights dropped, duplicate
-points merged) and dict-backed, so equality ignores construction order.
+points merged, numerators and denominator reduced together) and
+dict-backed, so equality ignores construction order.
 Nothing is sorted while they are built: `value_key` orders points only
 where order shows (`items()`, `repr`, `key()`), so output is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NegativeWeight, UsageError, WeightOverflow, ZeroCondition, ZeroWeight
@@ -58,12 +62,14 @@ class Value:
     """A scalar from a finite domain: boolean, exact rational, or enum symbol.
 
     Immutable, with its sort key and hash computed once; the key carries
-    the kind, so `vnum(1) != vbool(True)`.
+    the kind, so `vnum(1) != vbool(True)`.  `vnum` gives an integral number
+    an `int` payload; one given as a `Fraction` still compares, hashes and
+    prints the same.
     """
 
     __slots__ = ("kind", "payload", "_key", "_hash")
 
-    def __init__(self, kind: str, payload: Union[bool, Fraction, str]):
+    def __init__(self, kind: str, payload: Union[bool, int, Fraction, str]):
         self.kind, self.payload = kind, payload  # kind: 'bool' | 'num' | 'sym'
         self._key = (_KIND_RANK[kind], payload)
         self._hash = hash(self._key)
@@ -82,7 +88,7 @@ class Value:
     def __str__(self):
         if self.kind == "bool":
             return "true" if self.payload else "false"
-        return str(self.payload)  # a Fraction prints as "n" or "n/d"
+        return str(self.payload)  # an int or Fraction prints as "n" or "n/d"
 
     def __repr__(self):
         return f"Value({self})"
@@ -92,7 +98,11 @@ _TRUE, _FALSE = Value("bool", True), Value("bool", False)
 
 
 def vnum(x) -> Value:
-    return Value("num", rat(x) if not isinstance(x, bool) else Fraction(int(x)))
+    if x.__class__ is not int:
+        x = rat(x)
+        if x.denominator == 1:
+            x = x.numerator
+    return Value("num", x)
 
 
 def vbool(b: bool) -> Value:
@@ -147,69 +157,99 @@ class Domain:
 class FiniteDist:
     """An immutable sub-distribution over hashable points (weight <= 1).
 
-    Construction canonicalises: duplicate points have their weights added,
-    zero-weight points are dropped.  Iteration yields (point, weight) pairs
-    unordered; `items()`, `support`, `repr` and `key()` sort by `value_key`.
+    Integer numerators over one reduced denominator; iteration yields
+    (point, `Fraction`) pairs, unordered.  Construction canonicalises
+    (duplicate points merge, zero weights drop, one gcd reduces), so
+    equality and hashing compare `(den, nums)`.  `items()`, `support`,
+    `repr` and `key()` sort by `value_key`.
     """
 
-    __slots__ = ("_weights", "weight", "_hash")
+    __slots__ = ("_nums", "_den", "_total", "_hash")
 
     def __init__(self, pairs: Iterable[tuple[object, Fraction]]):
-        acc: dict = {}
+        pairs = [
+            (v, w if w.__class__ is Fraction or w.__class__ is int else rat(w)) for v, w in pairs
+        ]
+        den = lcm(*[w.denominator for _, w in pairs])
+        nums: dict = {}
         for v, w in pairs:
-            w = w if w.__class__ is Fraction else rat(w)
-            if w.numerator < 0:
+            if w < 0:
                 raise NegativeWeight(f"negative weight {w} at {v!r}")
-            if w.numerator:
-                old = acc.get(v)
-                acc[v] = w if old is None else old + w
-        self.weight = sum(acc.values(), ZERO)
-        if self.weight > 1:
-            raise WeightOverflow(f"weights sum to {self.weight} > 1")
-        self._weights, self._hash = acc, None
+            if w:
+                nums[v] = nums.get(v, 0) + w.numerator * (den // w.denominator)
+        self._store(nums, den)
+
+    def _store(self, nums: dict, den: int) -> None:
+        """Keep positive numerators `nums` over `den`, reduced by their gcd."""
+        total = sum(nums.values())
+        if total > den:
+            raise WeightOverflow(f"weights sum to {Fraction(total, den)} > 1")
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {v: n // g for v, n in nums.items()}
+            den, total = den // g, total // g
+        self._nums, self._den, self._total, self._hash = nums, den, total, None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def of_numerators(cls, nums: dict, den: int) -> "FiniteDist":
+        """Weight nums[v]/den at each v, from positive ints; takes over the dict."""
+        d = cls.__new__(cls)
+        d._store(nums, den)
+        return d
+
+    @classmethod
     def point(cls, v) -> "FiniteDist":
-        return cls([(v, ONE)])
+        return cls.of_numerators({v: 1}, 1)
 
     @classmethod
     def uniform(cls, values: Sequence) -> "FiniteDist":
         values = list(values)
         if not values:
             raise ZeroWeight("uniform distribution over empty set")
-        share = Fraction(1, len(values))
-        return cls([(v, share) for v in values])
+        return cls.of_numerators(dict(Counter(values)), len(values))
 
     # -- queries ----------------------------------------------------------
 
+    def numerators(self) -> tuple[dict, int]:
+        """(point -> positive int numerator, denominator), reduced; the dict
+        is the distribution's own and must not be changed."""
+        return self._nums, self._den
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self._total, self._den)
+
     @property
     def is_full(self) -> bool:
-        return self.weight == 1
+        return self._total == self._den
 
     @property
     def support(self) -> tuple:
         return tuple(v for v, _ in self.items())
 
     def items(self) -> tuple[tuple[object, Fraction], ...]:
-        return tuple(sorted(self._weights.items(), key=lambda kv: value_key(kv[0])))
+        return tuple(sorted(self, key=lambda kv: value_key(kv[0])))
 
     def __getitem__(self, v) -> Fraction:
-        return self._weights.get(v, ZERO)
+        return Fraction(self._nums.get(v, 0), self._den)
 
     def __len__(self):
-        return len(self._weights)
+        return len(self._nums)
 
     def __iter__(self):
-        return iter(self._weights.items())
+        den = self._den
+        return ((v, Fraction(n, den)) for v, n in self._nums.items())
 
     def __eq__(self, other):
-        return isinstance(other, FiniteDist) and self._weights == other._weights
+        return (
+            isinstance(other, FiniteDist) and self._den == other._den and self._nums == other._nums
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._weights.items()))
+            self._hash = hash((self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __repr__(self):
@@ -221,7 +261,7 @@ class FiniteDist:
 
     def max_weight(self) -> Fraction:
         """Largest single weight (0 for the empty sub-distribution)."""
-        return max(self._weights.values(), default=ZERO)
+        return Fraction(max(self._nums.values(), default=0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -229,21 +269,27 @@ class FiniteDist:
         c = rat(c)
         if c < 0:
             raise NegativeWeight(f"negative scale {c}")
-        return FiniteDist([(v, w * c) for v, w in self])
+        a = c.numerator
+        nums = {v: n * a for v, n in self._nums.items()} if a else {}
+        return FiniteDist.of_numerators(nums, self._den * c.denominator)
 
     def add(self, other: "FiniteDist") -> "FiniteDist":
         return FiniteDist([*self, *other])
 
     def map(self, f: Callable) -> "FiniteDist":
         """Push forward through f (weights of equal images add)."""
-        return FiniteDist([(f(v), w) for v, w in self])
+        nums: dict = {}
+        for v, n in self._nums.items():
+            u = f(v)
+            nums[u] = nums.get(u, 0) + n
+        return FiniteDist.of_numerators(nums, self._den)
 
 
 def normalize(d: FiniteDist) -> FiniteDist:
     """Scale d by 1/weight(d); the result is a full distribution."""
-    if d.weight == 0:
+    if not d._total:
         raise ZeroWeight("cannot normalise a zero-weight distribution")
-    return d.scale(1 / d.weight)
+    return FiniteDist.of_numerators(d._nums, d._total)
 
 
 def expected_value(d: FiniteDist, f: Callable):

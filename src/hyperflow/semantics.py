@@ -9,8 +9,9 @@ residual uncertainty about the hidden variables.
 
 One kernel gives every syntactically atomic command its meaning: the
 classical (relational) semantics run from each hidden point, then Hide
-(`_atomic`).  Assignments, choices, `atomic{..}` bodies and local-block
-initialisers all go through it.  Compound commands compose
+(`eval_atomic_block`), on integer numerators over one common denominator.
+Assignments, choices, `atomic{..}` bodies and local-block initialisers all
+go through it.  Compound commands compose
 hyper-distributions: conditionals and probabilistic choices share one
 branch helper (a guard is a 0/1 weight), and a sequence is a left fold over
 its statements that merges equal split-states after each one.  The
@@ -21,16 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
 
 from .errors import DistNotOneSumming, EvalError, UnsupportedConstruct
 from .lang import ast as A
 from .lang.transform import desugar
 from .probcore import (
-    ONE,
-    ZERO,
     FiniteDist,
     Value,
+    normalize,
     rat_str,
     value_key,
     vbool,
@@ -125,8 +125,8 @@ class HyperDist(FiniteDist):
 
     __slots__ = ()
 
-    def __init__(self, pairs: Iterable[tuple[SplitState, Fraction]]):
-        super().__init__(pairs)
+    def _store(self, nums: dict, den: int) -> None:
+        super()._store(nums, den)
         if not self.is_full:
             raise EvalError(f"hyper-distribution has outer weight {self.weight} != 1")
 
@@ -152,11 +152,12 @@ def base_env(decls) -> dict[str, Value]:
     return env
 
 
-def _num(v: Value, what: str) -> Fraction:
+def _num(v: Value, what: str):
+    """The int or Fraction of a number; a boolean counts as 0 or 1."""
     if v.kind == "num":
         return v.payload
     if v.kind == "bool":
-        return ONE if v.payload else ZERO
+        return int(v.payload)
     raise EvalError(f"{what}: expected a number, got {v}")
 
 
@@ -166,7 +167,7 @@ def _boolean(v: Value, what: str) -> bool:
     return v.payload
 
 
-def _int(q: Fraction, what: str) -> int:
+def _int(q, what: str) -> int:
     if q.denominator != 1:
         raise EvalError(f"{what}: expected an integer, got {q}")
     return q.numerator
@@ -213,7 +214,7 @@ def eval_expr(e: A.Expr, env: dict[str, Value]) -> Value:
     raise TypeError(e)
 
 
-def eval_prob(e: A.Expr, env) -> Fraction:
+def eval_prob(e: A.Expr, env):
     q = _num(eval_expr(e, env), "probability")
     if not (0 <= q <= 1):
         raise EvalError(f"probability {q} outside [0,1]")
@@ -228,16 +229,14 @@ def eval_dist(d: A.DistExpr, env) -> FiniteDist:
                 return eval_dist(then, env)
         return eval_dist(d.otherwise, env)
     if isinstance(d, A.DistUniform):
-        share = Fraction(1, len(d.exprs))
-        pairs = [(eval_expr(x, env), share) for x in d.exprs]
-    else:
-        pairs = []
-        for value_expr, prob_expr in d.entries:
-            q = _num(eval_expr(prob_expr, env), "weight")
-            if q < 0:
-                raise DistNotOneSumming(f"negative weight {q}")
-            pairs.append((eval_expr(value_expr, env), q))
-    total = sum((q for _, q in pairs), ZERO)
+        return FiniteDist.uniform([eval_expr(x, env) for x in d.exprs])
+    pairs = []
+    for value_expr, prob_expr in d.entries:
+        q = _num(eval_expr(prob_expr, env), "weight")
+        if q < 0:
+            raise DistNotOneSumming(f"negative weight {q}")
+        pairs.append((eval_expr(value_expr, env), q))
+    total = sum(q for _, q in pairs)
     if total != 1:
         raise DistNotOneSumming(f"weights sum to {total}, not 1")
     return FiniteDist(pairs)
@@ -253,7 +252,7 @@ def _branch(p):
     conditional or a probabilistic choice; a guard is a 0/1 weight."""
     if isinstance(p, A.Cond):
         def guard_at(env):
-            return ONE if _boolean(eval_expr(p.guard, env), "guard") else ZERO
+            return int(_boolean(eval_expr(p.guard, env), "guard"))
 
         return guard_at, p.then_branch, p.else_branch
     return (lambda env: eval_prob(p.prob, env)), p.left, p.right
@@ -304,11 +303,11 @@ def _classical(p, scope: Scope, v, h):
     The weights sum to 1; a point may occur more than once.
     """
     if isinstance(p, A.Skip):
-        return [((v, h), ONE)]
+        return [((v, h), 1)]
     if isinstance(p, (A.Assign, A.Choose)):
         env = scope.env(v, h)
         if isinstance(p, A.Assign):
-            dist = ((eval_expr(p.expr, env), ONE),)
+            dist = ((eval_expr(p.expr, env), 1),)
         else:
             dist = eval_dist(p.dist, env)
         vis, i, decl = scope._slot(p.target)
@@ -321,7 +320,7 @@ def _classical(p, scope: Scope, v, h):
                 out.append(((v, h[:i] + (value,) + h[i + 1:]), w))
         return out
     if isinstance(p, A.Seq):
-        states = [((v, h), ONE)]
+        states = [((v, h), 1)]
         for q in p.stmts:
             states = _classical_then(states, q, scope)
         return states
@@ -338,7 +337,7 @@ def _classical(p, scope: Scope, v, h):
     if isinstance(p, A.Atomic):
         return _classical(p.body, scope, v, h)
     if isinstance(p, A.LocalBlock):
-        states = [((v, h), ONE)]
+        states = [((v, h), 1)]
         for q, q_scope in _block(p, scope):
             states = _classical_then(states, q, q_scope)
         nv, nh = len(scope.visible), len(scope.hidden)
@@ -353,28 +352,42 @@ def _classical(p, scope: Scope, v, h):
 # ---------------------------------------------------------------------------
 
 
-def _split_state(v: tuple, entries: list) -> tuple[SplitState, Fraction]:
-    """v with the (h, weight) entries normalised into its delta, and their
-    total weight."""
-    p = sum((w for _, w in entries), ZERO)
-    if p != 1:
-        inv = 1 / p
-        entries = [(h, w * inv) for h, w in entries]
-    return SplitState(v, FiniteDist(entries)), p
+def _times_weights(triples: list) -> tuple[list, int]:
+    """Fraction-free products: for (key, n, w) triples, int n and rational
+    w = a/b, the pairs (key, n * a * (L // b)) over L, the lcm of the b's."""
+    lcd = lcm(*[w.denominator for _, _, w in triples])
+    return [(k, n * w.numerator * (lcd // w.denominator)) for k, n, w in triples], lcd
+
+
+def _split_state(v: tuple, part: FiniteDist) -> tuple[SplitState, Fraction]:
+    """v with the sub-distribution part normalised into its delta, and
+    part's weight."""
+    return SplitState(v, normalize(part)), part.weight
+
+
+def _hide(joint, den: int) -> HyperDist:
+    """Hide: group ((v, h), numerator) pairs over den by their visible part.
+
+    For each visible value, one split-state pairing it with the
+    conditional hidden distribution, weighted by the projection.
+    """
+    groups: dict[tuple, dict] = {}
+    for (v, h), n in joint:
+        nums = groups.setdefault(v, {})
+        nums[h] = nums.get(h, 0) + n
+    return HyperDist(
+        [_split_state(v, FiniteDist.of_numerators(nums, den)) for v, nums in groups.items()]
+    )
 
 
 def hide_embed(joint) -> HyperDist:
     """Group a full joint (v,h) distribution by its visible part.
 
     `joint` is a FiniteDist or any iterable of ((v, h), weight) pairs
-    summing to 1.  For each visible value in the projection: one split-state
-    pairing it with the conditional hidden distribution, weighted by the
-    projection.
+    summing to 1.
     """
-    groups: dict[tuple, list] = {}
-    for (v, h), w in joint:
-        groups.setdefault(v, []).append((h, w))
-    return HyperDist(_split_state(v, entries) for v, entries in groups.items())
+    nums, den = (joint if isinstance(joint, FiniteDist) else FiniteDist(joint)).numerators()
+    return _hide(nums.items(), den)
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +396,17 @@ def hide_embed(joint) -> HyperDist:
 
 
 def eval_atomic_block(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
-    """Classical meaning applied under the incoming ignorance, then re-hidden.
+    """The kernel: p's classical meaning from each hidden point of s, then Hide.
 
     This imposes the largest ignorance of the final hidden values that is
     consistent with the visible output: perfect recall and implicit flow
     inside p are both suppressed.
     """
-    return _atomic(p, scope, s)
-
-
-def _atomic(p, scope: Scope, s: SplitState) -> HyperDist:
-    """The kernel: p's classical meaning from each hidden point of s, then Hide."""
-    return hide_embed(
-        [(st, w * w2) for h, w in s.delta for st, w2 in _classical(p, scope, s.v, h)]
+    nums, den = s.delta.numerators()
+    joint, lcd = _times_weights(
+        [(st, n, w) for h, n in nums.items() for st, w in _classical(p, scope, s.v, h)]
     )
+    return _hide(joint, den * lcd)
 
 
 def eval(p: A.Program, scope: Scope, s: SplitState) -> HyperDist:
@@ -423,7 +433,7 @@ def _eval(p, scope: Scope, s: SplitState) -> HyperDist:
     if isinstance(p, A.Skip):
         return HyperDist.point(s)
     if isinstance(p, (A.Assign, A.Choose, A.Atomic)):
-        return _atomic(p, scope, s)
+        return eval_atomic_block(p, scope, s)
     if isinstance(p, A.Seq):
         hyper = HyperDist.point(s)
         for q in p.stmts:
@@ -431,19 +441,21 @@ def _eval(p, scope: Scope, s: SplitState) -> HyperDist:
         return hyper
     if isinstance(p, (A.Cond, A.GeneralChoice)):
         # an observer sees which branch ran, and each branch's entry
-        # conditions the hidden distribution on having taken it
+        # conditions the hidden distribution on having taken it: of h's n,
+        # n * q goes left and n * (1 - q) right
         weight_at, left, right = _branch(p)
-        taken, not_taken = [], []
-        for h, w in s.delta:
-            q = weight_at(scope.env(s.v, h))
-            if q:
-                taken.append((h, w * q))
-            if q != 1:
-                not_taken.append((h, w * (1 - q)))
+        nums, den = s.delta.numerators()
+        taken, lcd = _times_weights(
+            [(h, n, weight_at(scope.env(s.v, h))) for h, n in nums.items()]
+        )
+        parts = (
+            {h: t for h, t in taken if t},
+            {h: nums[h] * lcd - t for h, t in taken if t != nums[h] * lcd},
+        )
         acc = []
-        for branch, entries in ((left, taken), (right, not_taken)):
-            if entries:
-                st, prob = _split_state(s.v, entries)
+        for branch, part in zip((left, right), parts):
+            if part:
+                st, prob = _split_state(s.v, FiniteDist.of_numerators(part, den * lcd))
                 acc += [(st2, prob * w2) for st2, w2 in _eval(branch, scope, st)]
         return HyperDist(acc)
     if isinstance(p, A.LocalBlock):

@@ -6,9 +6,54 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from hyperflow.errors import NegativeWeight, WeightOverflow, ZeroWeight
 from hyperflow.matrix import RatMatrix
 from hyperflow.measures import gain_vulnerability
-from hyperflow.probcore import ONE, ZERO
+from hyperflow.probcore import ONE, ZERO, value_key
+
+
+class FractionDist:
+    """A sub-distribution as a plain dict from point to `Fraction` weight,
+    combined by textbook rational arithmetic: the reference for the
+    fraction-free `FiniteDist`, with the same public reads and errors."""
+
+    def __init__(self, pairs):
+        self.weights = {}
+        for v, w in pairs:
+            w = Fraction(w)
+            if w < 0:
+                raise NegativeWeight(f"negative weight {w} at {v!r}")
+            if w:
+                self.weights[v] = self.weights.get(v, ZERO) + w
+        if self.weight > 1:
+            raise WeightOverflow(f"weights sum to {self.weight} > 1")
+
+    @property
+    def weight(self) -> Fraction:
+        return sum(self.weights.values(), ZERO)
+
+    def items(self) -> tuple:
+        return tuple(sorted(self.weights.items(), key=lambda kv: value_key(kv[0])))
+
+    def __getitem__(self, v) -> Fraction:
+        return self.weights.get(v, ZERO)
+
+    def max_weight(self) -> Fraction:
+        return max(self.weights.values(), default=ZERO)
+
+    def scale(self, c) -> "FractionDist":
+        return FractionDist((v, w * c) for v, w in self.weights.items())
+
+    def add(self, other: "FractionDist") -> "FractionDist":
+        return FractionDist([*self.weights.items(), *other.weights.items()])
+
+    def map(self, f) -> "FractionDist":
+        return FractionDist((f(v), w) for v, w in self.weights.items())
+
+    def normalize(self) -> "FractionDist":
+        if self.weight == 0:
+            raise ZeroWeight("cannot normalise a zero-weight distribution")
+        return self.scale(1 / self.weight)
 
 
 def brute_force_guess_count(delta_probs: list[Fraction]) -> Fraction:

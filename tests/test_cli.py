@@ -40,6 +40,27 @@ def test_parse_bad_syntax_is_usage_error(tmp_path, capsys):
     assert code == 2 and "2:" in err
 
 
+@pytest.mark.parametrize(
+    "decl, message",
+    [
+        ("vis v : {0, 1, 1};", "1:16: duplicate domain value 1"),
+        ("vis v : {0, 1/0};", "1:15: zero denominator in a domain value"),
+    ],
+)
+def test_a_bad_domain_value_is_a_positioned_usage_error(tmp_path, capsys, decl, message):
+    prog = tmp_path / "p.hprog"
+    prog.write_text(f"{decl}\nv := 0\n")
+    for argv in (("parse", str(prog)), ("eval", str(prog), "--init", "v=0")):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_division_is_exact(tmp_path, capsys):
+    prog = tmp_path / "p.hprog"
+    prog.write_text("vis v : {0..1};\nv := 1 / 2 * 2\n")
+    code, out, _ = invoke(capsys, "eval", str(prog), "--init", "v=0")
+    assert (code, out) == (0, "p=1/1  v=1  delta=[()@1/1]\n")
+
+
 def test_eval_json_schema(capsys):
     code, out, _ = invoke(
         capsys,

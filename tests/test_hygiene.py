@@ -1,9 +1,12 @@
-"""Source hygiene: no top-level helper in the package goes unused, and every
-function the benchmark's tracer wraps still exists."""
+"""Source hygiene: no top-level helper in the package goes unused, every
+function the benchmark's tracer wraps still exists, and the CLI's import
+leaves the Shannon-only dependency unloaded."""
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -76,3 +79,10 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(mod_name), fn_name, None))
     ]
     assert spans.TARGETS and missing == []
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only Shannon entropy needs mpmath, so no other question pays for its import
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    check = "import sys, hyperflow.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +197,28 @@ def test_validate_division_by_constant_zero():
     assert any(d.code == "DivisionByZero" for d in validate(m))
     m = parse("vis v : {0..1}; v := v mod (3 mod 3)")
     assert any(d.code == "DivisionByZero" for d in validate(m))
+
+
+def test_constant_division_folds_exactly():
+    m = parse("hid h : {0..2}; h <- {0 @ 1/3 + 1/3 + 1/3}; h <- {0 @ 1/3, 1 @ 1/3, 2 @ 1/3}")
+    assert validate(m) == []
+    assert A.BINOPS["/"].fn(1, 3) == Fraction(1, 3)
+
+
+def test_validate_resolves_enum_constants_by_scope():
+    outside = parse(
+        "vis v : {0..1}; v := (1 if red = red else 0);"
+        " local hid b : {red, blue} := {red @ 1} in { v := 0 }"
+    )
+    assert [(d.code, d.pos.line, d.pos.col) for d in validate(outside)] == [
+        ("UndeclaredVariable", 1, 28),
+        ("UndeclaredVariable", 1, 34),
+    ]
+    inside = parse(
+        "vis v : {0..1};"
+        " local hid b : {red, blue} := {red @ 1} in { v := (1 if b = red else 0) }"
+    )
+    assert validate(inside) == []
 
 
 # -- views -------------------------------------------------------------------

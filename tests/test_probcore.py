@@ -1,5 +1,6 @@
 """Distribution core: constructors, normalisation, expectation, posterior."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,8 @@ from hyperflow.probcore import (
     vnum,
     vsym,
 )
+
+from oracles import FractionDist
 
 
 def test_mk_dist_uniform():
@@ -207,3 +210,60 @@ def test_value_hash_is_structural():
     assert Value("num", F(1)) == vnum(1)
     assert hash(Value("num", F(1))) == hash(vnum(1))
     assert hash(Value("bool", True)) == hash(vbool(True))
+
+
+def test_int_and_fraction_payloads_are_one_value():
+    three = Value("num", F(3))
+    assert Value("num", 3) == three and hash(Value("num", 3)) == hash(three)
+    assert str(Value("num", 3)) == str(three) == "3"
+    assert vnum(F(3)).payload.__class__ is int and vnum(F(6, 4)).payload == F(3, 2)
+
+
+# -- the fraction-free distribution against a dict of Fractions ------------------
+
+
+def _random_pairs(rng: random.Random, scale: F = F(1)) -> list:
+    """Weighted points with repeats and zero weights, summing to scale (or 0)."""
+    raw = [
+        (rng.randrange(5), F(rng.randrange(4), rng.choice([1, 2, 3, 6, 7])))
+        for _ in range(rng.randrange(7))
+    ]
+    total = sum((w for _, w in raw), F(0)) or F(1)
+    return [(v, w * scale / total) for v, w in raw]
+
+
+def _agree(d: FiniteDist, ref: FractionDist):
+    assert d.items() == ref.items() and d.weight == ref.weight
+    assert d.max_weight() == ref.max_weight()
+    assert all(d[v] == ref[v] for v in range(-1, 6))
+
+
+def _same_error(make, make_ref):
+    with pytest.raises((NegativeWeight, WeightOverflow)) as got:
+        make()
+    with pytest.raises(got.type) as want:
+        make_ref()
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fraction_free_dist_agrees_with_fraction_oracle(seed):
+    rng = random.Random(seed)
+    pairs = _random_pairs(rng, rng.choice([F(1), F(1, 2), F(2, 3)]))
+    d, ref = FiniteDist(pairs), FractionDist(pairs)
+    _agree(d, ref)
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    assert FiniteDist(shuffled) == d and hash(FiniteDist(shuffled)) == hash(d)
+    c = F(rng.randrange(4), rng.choice([3, 4, 5]))
+    _agree(d.scale(c), ref.scale(c))
+    half = _random_pairs(rng, F(1, 2))
+    _agree(d.scale(F(1, 2)).add(FiniteDist(half)), ref.scale(F(1, 2)).add(FractionDist(half)))
+    _agree(d.map(lambda v: v % 2), ref.map(lambda v: v % 2))
+    if ref.weight:
+        _agree(normalize(d), ref.normalize())
+    if any(w for _, w in pairs):
+        over = [(v, w * 3) for v, w in pairs]
+        _same_error(lambda: FiniteDist(over), lambda: FractionDist(over))
+        negative = pairs + [(rng.randrange(5), -F(1, rng.randrange(1, 9)))]
+        _same_error(lambda: FiniteDist(negative), lambda: FractionDist(negative))
