@@ -73,10 +73,6 @@ class RatMatrix:
         c = rat(c)
         return RatMatrix([[x * c for x in row] for row in self.rows])
 
-    def add_scalar(self, c) -> "RatMatrix":
-        c = rat(c)
-        return RatMatrix([[x + c for x in row] for row in self.rows])
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix([list(col) for col in zip(*self.rows)])
 

@@ -6,6 +6,8 @@ from a state's position to its nonzero weight.  Evaluation pushes the
 split-state row through the program (atomic commands multiply by their
 classical matrix and split by visible value, branches scale by their
 weights, sequencing is a left fold) and drops the rows that become zero.
+Classical rows and branch weights are built on demand, only where a
+pushed row holds weight, so weights are checked at reachable states only.
 Rows are never merged, so regrouping them reproduces the direct
 evaluator's hyper-distribution independently.  The same classical rows
 yield the precondition check for distributing atomicity brackets over a
@@ -65,22 +67,23 @@ def _dense(rows: list[dict], n: int) -> RatMatrix:
     return RatMatrix([[row.get(j, ZERO) for j in range(n)] for row in rows])
 
 
-def classical_rows(p: A.Program, index: StateIndex) -> list[dict]:
-    """The classical relational meaning as sparse rows: row i maps each
+def classical_rows(p: A.Program, index: StateIndex, positions: Optional[list] = None) -> dict:
+    """The classical relational meaning as sparse rows, built on demand:
+    row i, for each i of positions (by default every position), maps each
     position reachable from pairs[i] to its nonzero weight."""
-    rows = []
-    for v, h in index.pairs:
+    rows = {}
+    for i in range(index.size) if positions is None else positions:
         row = {}
-        for vh, w in _classical(p, index.scope, v, h):
+        for vh, w in _classical(p, index.scope, *index.pairs[i]):
             j = index.positions[vh]
             row[j] = row.get(j, ZERO) + w
-        rows.append({j: w for j, w in row.items() if w})
+        rows[i] = {j: w for j, w in row.items() if w}
     return rows
 
 
 def classical_matrix(p: A.Program, index: StateIndex) -> RatMatrix:
     """Row-stochastic matrix of the classical relational meaning."""
-    return _dense(classical_rows(p, index), index.size)
+    return _dense(list(classical_rows(p, index).values()), index.size)
 
 
 @dataclass
@@ -107,8 +110,13 @@ def _nf(p: A.Program, index: StateIndex, blocks: list, *, keep_zero: bool) -> li
 
     Unless keep_zero, an atomic command drops the all-zero products, so
     a branch's zero rows go no further than its first atomic command."""
+    if isinstance(p, A.Seq):
+        for q in p.stmts:
+            blocks = _nf(q, index, blocks, keep_zero=keep_zero)
+        return blocks
+    held = sorted({j for block in blocks for row in block for j in row})  # the states p runs from
     if isinstance(p, _ATOMIC_KINDS):
-        crows = classical_rows(p.body if isinstance(p, A.Atomic) else p, index)
+        crows = classical_rows(p.body if isinstance(p, A.Atomic) else p, index, held)
         nh, nv = len(index.h_tuples), len(index.v_tuples)
         out = []
         for block in blocks:
@@ -122,20 +130,16 @@ def _nf(p: A.Program, index: StateIndex, blocks: list, *, keep_zero: bool) -> li
                         part[j] = part.get(j, ZERO) + a * b
             out += [x for x in split if keep_zero or any(x)]
         return out
-    if isinstance(p, A.Seq):
-        for q in p.stmts:
-            blocks = _nf(q, index, blocks, keep_zero=keep_zero)
-        return blocks
     if isinstance(p, (A.GeneralChoice, A.Cond)):
         weight_at, left, right = _branch(p)
-        weights = [weight_at(index.scope.env(v, h)) for v, h in index.pairs]
+        weights = {j: weight_at(index.scope.env(*index.pairs[j])) for j in held}
 
         def scaled(ws):
             return [[{j: a * ws[j] for j, a in row.items() if ws[j]} for row in block] for block in blocks]
 
         return (
             _nf(left, index, scaled(weights), keep_zero=keep_zero)
-            + _nf(right, index, scaled([1 - q for q in weights]), keep_zero=keep_zero)
+            + _nf(right, index, scaled({j: 1 - q for j, q in weights.items()}), keep_zero=keep_zero)
         )
     if isinstance(p, (A.LocalBlock, A.Reveal, A.XorAssign)):
         raise UnsupportedConstruct(
@@ -186,10 +190,10 @@ def check_atomic_distribution(
     index = StateIndex.of_scope(scope)
     nh = len(index.h_tuples)
     into = {}  # intermediate position -> visible places of the states p1 takes to it
-    for i, row in enumerate(classical_rows(p1, index)):
+    for i, row in classical_rows(p1, index).items():  # every state: the precondition ranges over all
         for j in row:
             into.setdefault(j, set()).add(i // nh)
-    c2 = classical_rows(p2, index)
+    c2 = classical_rows(p2, index, sorted(into))  # only where p1 leads
     linking = {}  # (initial place, final place) -> intermediate places
     for j, sources in into.items():
         for jf in c2[j]:

@@ -127,7 +127,7 @@ def test_channel_from_published_normal_matches_paper_matrix():
     # choices are the implementation's own, so rebuild its steps by hand
     oriented = x.scale(-1)
     d0 = oriented.transpose()
-    shifted = d0.add_scalar(3)
+    shifted = RatMatrix([[x + 3 for x in row] for row in d0.rows])
     scaled = shifted.scale(F(1, 10))
     rows = {
         (vnum(1),): [F(1, 10) * q for q in (4, 3, 3)],

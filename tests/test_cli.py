@@ -275,6 +275,28 @@ def test_normalform_crosscheck(capsys):
     assert code == 0 and json.loads(out)["backends_agree"]
 
 
+@pytest.mark.parametrize("last", ["v <- {0 @ h, 1 @ 1 - h}", "v := 0 [h] v := 1"])
+def test_normalform_checks_weights_only_at_reachable_states(tmp_path, capsys, last):
+    # the last statement's weights are invalid at h = 2 and 3, which no run reaches
+    prog = tmp_path / "p.hprog"
+    prog.write_text(f"hid h : {{0..3}};\nvis v : {{0..1}};\nh <- uniform{{0, 1}};\n{last}\n")
+    for cmd in ("eval", "normalform"):
+        code, out, _ = invoke(capsys, cmd, str(prog), "--init", "v=0; h~uniform")
+        assert code == 0
+    assert json.loads(out)["backends_agree"]
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [("v <- {0 @ h, 1 @ 1 - h}", "negative weight -1"), ("v := 0 [h] v := 1", "probability 2 outside [0,1]")],
+)
+def test_normalform_refuses_a_weight_bad_at_a_reachable_state(tmp_path, capsys, last, message):
+    prog = tmp_path / "p.hprog"
+    prog.write_text(f"hid h : {{0..3}};\nvis v : {{0..1}};\n{last}\n")
+    for cmd in ("eval", "normalform"):
+        assert invoke(capsys, cmd, str(prog), "--init", "v=0; h~uniform") == (2, "", f"error: {message}\n")
+
+
 def test_bad_init_spec(capsys):
     code, _, err = invoke(
         capsys, "eval", str(CORPUS / "threebox_S.hprog"), "--init", "v=bot"

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import load, rand_program, rand_small_init, small_scope_module, threebox_init
-from hyperflow.errors import UnsupportedConstruct
+from hyperflow import normalform
+from hyperflow.errors import DistNotOneSumming, EvalError, UnsupportedConstruct
 from hyperflow.lang import ast as A
 from hyperflow.lang import desugar, parse, parse_program
 from hyperflow.matrix import RatMatrix
@@ -112,6 +113,60 @@ def test_nf_evaluation_drops_zero_rows():
     row = {index.index(s.v, h): w for h, w in s.delta}
     assert len(_nf(m.body, index, [[row]], keep_zero=False)) == 1
     assert eval_via_normal_form(m.body, scope, s) == eval_hyper(m.body, scope, s)
+
+
+def test_nf_evaluation_reads_only_reached_states(monkeypatch):
+    # a point prior reaches few of the 32 states: classical rows and branch
+    # weights are computed only where a pushed row holds weight
+    m = parse(
+        "vis v : {0..3}; hid h : {0..7};"
+        "h <- uniform{h, (h + 1) mod 8};"
+        "if h < 6 then v := 1 else v := 2 fi;"
+        "h := (h + v) mod 8;"
+        "{ h := 0 } [h / 8] { v := 0 }"
+    )
+    scope = Scope.of_module(m)
+    classical, weighed = [], []
+    real_classical, real_branch = normalform._classical, normalform._branch
+
+    def classical_spy(p, scope, v, h):
+        classical.append((v[0].payload, h[0].payload))
+        return real_classical(p, scope, v, h)
+
+    def branch_spy(p):
+        weight_at, left, right = real_branch(p)
+
+        def weight_spy(env):
+            weighed.append((env["v"].payload, env["h"].payload))
+            return weight_at(env)
+
+        return weight_spy, left, right
+
+    monkeypatch.setattr(normalform, "_classical", classical_spy)
+    monkeypatch.setattr(normalform, "_branch", branch_spy)
+    s = SplitState((vnum(0),), FiniteDist.point((vnum(5),)))
+    assert eval_via_normal_form(m.body, scope, s) == eval_hyper(m.body, scope, s)
+    # one list per atomic command, in program order (v, h)
+    assert classical == [(0, 5)] + [(0, 5)] + [(0, 6)] + [(1, 5), (2, 6)] + [(1, 6)] + [(1, 6), (2, 0)]
+    assert weighed == [(0, 5), (0, 6)] + [(1, 6), (2, 0)]
+
+    # the precondition reads p1 at every state, p2 only where p1 leads
+    classical.clear()
+    assert check_atomic_distribution(parse_program("h := 0"), parse_program("v := h"), scope).ok
+    assert classical[:32] == [(v, h) for v in range(4) for h in range(8)]
+    assert classical[32:] == [(v, 0) for v in range(4)]
+
+
+def test_nf_refuses_a_weight_bad_at_a_reachable_state():
+    # the CLI runs the direct evaluator first, so this pins the normal form's own refusal
+    m = parse("hid h : {0..3}; vis v : {0..1}; h <- uniform{1, 2}; v <- {0 @ h, 1 @ 1 - h}")
+    scope = Scope.of_module(m)
+    s = SplitState((vnum(0),), FiniteDist.point((vnum(0),)))
+    with pytest.raises(DistNotOneSumming, match="negative weight -1"):
+        eval_via_normal_form(m.body, scope, s)
+    m = parse("hid h : {0..3}; vis v : {0..1}; h <- uniform{1, 2}; v := 0 [h] v := 1")
+    with pytest.raises(EvalError, match=r"probability 2 outside \[0,1\]"):
+        eval_via_normal_form(m.body, scope, s)
 
 
 def test_nf_rejects_local_blocks():
