@@ -11,9 +11,9 @@ is then a context under which the impl is strictly more vulnerable to a
 single guess than the spec.
 
 Two routes produce the normal: the Farkas certificate of the failed
-refinement LP (free, the default) and an explicit vertex-enumeration LP
-that maximises the separation margin (used to cross-check on small
-instances).
+refinement LP (free, the default) and a maximum-margin LP in epigraph
+form, which finds the direction of largest separation (used to
+cross-check).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    InternalError,
-    NotSeparable,
-    PreconditionViolated,
-    VertexBudgetExceeded,
-)
+from .errors import InternalError, NotSeparable, PreconditionViolated
 from .lang import ast as A
 from .lp import LinearProgram, solve_max
 from .matrix import RatMatrix
@@ -44,9 +39,6 @@ from .refine import (
     hidden_columns,
 )
 from .semantics import Scope, SplitState, eval_module
-
-DEFAULT_VERTEX_CAP = 2 ** 20
-
 
 @dataclass
 class SeparatingDirection:
@@ -88,41 +80,35 @@ def separating_direction_from_certificate(
     return SeparatingDirection.of(x, pi_s, pi_i)
 
 
-def separating_direction_by_vertices(
-    pi_s: Partition, pi_i: Partition, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> SeparatingDirection:
-    """Enumerate the vertex refinements M x Pi_S (one per assignment of
-    source fractions to target rows) and maximise the separation margin
-    with X entries boxed to [-1, 1].
+def separating_direction_by_vertices(pi_s: Partition, pi_i: Partition) -> SeparatingDirection:
+    """Maximise the separation margin X . Pi_I - V_X(Pi_S) with X entries
+    boxed to [-1, 1], as one maximum-margin LP in epigraph form.
 
-    The LP runs over x >= 0, so it solves for Y = X + 1: each vertex row
-    keeps its coefficients with right-hand side their sum over X, one
-    `y <= 2` row per X entry follows, and X = Y - 1.  The box rows, not
-    the vertices, set the LP's size: on the sweep pair at |H| = 128 it has
-    5 vertex rows and 320 box rows, and the whole vertices attack takes
-    about 46 s of CPU (2-core Intel Xeon, Python 3.11)."""
+    V_X(Pi_S) = sum_s max_r X_r . pi_s is a maximum of linear functions, so
+    each spec fraction s gets a variable t_s >= X_r . pi_s for every row r,
+    and one row sum_s t_s - X . Pi_I + eps <= 0 bounds the margin (Boyd and
+    Vandenberghe, Convex Optimization, 2004, sec. 4.3.1).  The LP runs over
+    x >= 0, so it solves for Y = X + 1 and T_s = t_s + |pi_s|, with one
+    `y <= 2` row per X entry, and reads X = Y - 1."""
     h_columns = hidden_columns(pi_s, pi_i)
     mat_s, mat_i = pi_s.matrix(h_columns), pi_i.matrix(h_columns)
     f_s, f_i, nh = mat_s.nrows, mat_i.nrows, len(h_columns)
-    n_vertices = f_i ** f_s
-    if n_vertices > vertex_cap:
-        raise VertexBudgetExceeded(f"{n_vertices} vertices exceed the cap {vertex_cap}")
     nx = f_i * nh
-    lp = LinearProgram(nx + 1, objective=[ZERO] * nx + [ONE])
-    for assignment in itertools.product(range(f_i), repeat=f_s):
-        # dot(M Pi_S, X) - dot(Pi_I, X) + eps <= 0
-        coeffs = [ZERO] * (nx + 1)
-        for c, r in enumerate(assignment):
-            for h in range(nh):
-                coeffs[r * nh + h] += mat_s[c, h]
+    n = nx + f_s + 1
+    lp = LinearProgram(n, objective=[ZERO] * (n - 1) + [ONE])
+    for s in range(f_s):
         for r in range(f_i):
-            for h in range(nh):
-                coeffs[r * nh + h] -= mat_i[r, h]
-        coeffs[nx] = ONE
-        lp.add(coeffs, "<=", sum(coeffs[:nx], ZERO))
+            # T_s - Y_r . pi_s >= 0
+            coeffs = [ZERO] * n
+            coeffs[r * nh : (r + 1) * nh] = [-q for q in mat_s.rows[s]]
+            coeffs[nx + s] = ONE
+            lp.add(coeffs, ">=", 0)
+    # sum_s T_s - Y . Pi_I + eps <= |Pi_S| - |Pi_I|
+    coeffs = [-q for row in mat_i.rows for q in row] + [ONE] * (f_s + 1)
+    lp.add(coeffs, "<=", sum(map(sum, mat_s.rows), ZERO) - sum(map(sum, mat_i.rows), ZERO))
     for j in range(nx):
-        lp.add([ONE if k == j else ZERO for k in range(nx + 1)], "<=", 2)
-    # at the optimum eps is the least vertex gap, which is X's exact margin
+        lp.add([ONE if k == j else ZERO for k in range(n)], "<=", 2)
+    # at the optimum eps is X's exact margin
     _, point = solve_max(lp)
     x = RatMatrix([[y - 1 for y in point[r * nh : (r + 1) * nh]] for r in range(f_i)])
     return SeparatingDirection.of(x, pi_s, pi_i)
@@ -321,7 +307,6 @@ def synthesize_and_verify(
     impl_module: A.Module,
     init: SplitState,
     method: str = "farkas",
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> AttackReport:
     """Build a distinguishing context for a refinement failure and verify
     the Bayes-vulnerability gap end-to-end on the composed programs."""
@@ -335,7 +320,7 @@ def synthesize_and_verify(
     if method == "farkas":
         direction = separating_direction_from_certificate(pi_s, pi_i, failure.certificate)
     elif method == "vertices":
-        direction = separating_direction_by_vertices(pi_s, pi_i, vertex_cap)
+        direction = separating_direction_by_vertices(pi_s, pi_i)
     else:
         raise ValueError(method)
     h_tuples = list(itertools.product(*(d.domain.values for d in scope.hidden)))

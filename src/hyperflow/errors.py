@@ -85,10 +85,6 @@ class NotSeparable(HyperflowError):
     """Internal inconsistency: separation requested but none exists."""
 
 
-class VertexBudgetExceeded(HyperflowError):
-    """Enumerating simple-matrix vertices would exceed the configured cap."""
-
-
 class PreconditionViolated(HyperflowError):
     """Caller invoked an operation outside its stated precondition."""
 

@@ -92,6 +92,22 @@ def rand_hyper(
     return HyperDist(pairs)
 
 
+def rand_partition(rng: random.Random, n_fractions: int, n_h: int, weight=F(1)):
+    """n_fractions random fractions over the hidden values 0..n_h-1 that
+    add up to `weight`; each uses a random subset of the hidden values."""
+    from hyperflow.refine import Partition
+
+    shares = [F(rng.randint(1, 9)) for _ in range(n_fractions)]
+    total = sum(shares)
+    out = []
+    for share in shares:
+        hs = rng.sample(range(n_h), rng.randint(1, n_h))
+        ws = [F(rng.randint(1, 9)) for _ in hs]
+        pairs = [(ht(h), w / sum(ws) * share / total * weight) for h, w in zip(hs, ws)]
+        out.append(FiniteDist(pairs))
+    return Partition.of(out)
+
+
 def rand_refinement_matrix(rng: random.Random, rows: int, cols: int):
     """Random column-stochastic matrix: a convex mix of simple matrices."""
     from hyperflow.matrix import RatMatrix

@@ -7,6 +7,7 @@ import itertools
 from fractions import Fraction
 
 from hyperflow.errors import NegativeWeight, WeightOverflow, ZeroWeight
+from hyperflow.lp import LinearProgram, solve_max
 from hyperflow.matrix import RatMatrix
 from hyperflow.measures import gain_vulnerability
 from hyperflow.probcore import ONE, ZERO, value_key
@@ -83,3 +84,26 @@ def refinement_score_range(x: RatMatrix, mat_s: RatMatrix) -> tuple[Fraction, Fr
     fraction is assigned independently to its worst (or best) X row."""
     hi = gain_vulnerability(x.rows, mat_s.rows)
     return -gain_vulnerability(x.scale(-1).rows, mat_s.rows), hi
+
+
+def vertex_margin(mat_s: RatMatrix, mat_i: RatMatrix) -> Fraction:
+    """Largest margin dot(Pi_I, X) - dot(M Pi_S, X), least over the simple
+    M, with X entries in [-1, 1]: one LP row per assignment of source
+    fractions to target rows (f_i ** f_s rows), solved for Y = X + 1 >= 0."""
+    f_s, f_i, nh = mat_s.nrows, mat_i.nrows, mat_s.ncols
+    nx = f_i * nh
+    lp = LinearProgram(nx + 1, objective=[ZERO] * nx + [ONE])
+    for assignment in itertools.product(range(f_i), repeat=f_s):
+        # dot(M Pi_S, X) - dot(Pi_I, X) + eps <= 0
+        coeffs = [ZERO] * (nx + 1)
+        for c, r in enumerate(assignment):
+            for h in range(nh):
+                coeffs[r * nh + h] += mat_s[c, h]
+        for r in range(f_i):
+            for h in range(nh):
+                coeffs[r * nh + h] -= mat_i[r, h]
+        coeffs[nx] = ONE
+        lp.add(coeffs, "<=", sum(coeffs[:nx], ZERO))
+    for j in range(nx):
+        lp.add([ONE if k == j else ZERO for k in range(nx + 1)], "<=", 2)
+    return solve_max(lp)[0]

@@ -148,8 +148,7 @@ def test_criterion_3_p2_p4_suite():
         failure = check_refinement(h4, h2)
         assert isinstance(failure, NotRefined) and failure.v == (vnum(1),)
 
-        # synthesized attacks via both routes, the vertex one enumerating
-        # |P2 fractions| ** |P4 fractions| = 3^2 <= 3^3 vertices
+        # synthesized attacks via both routes
         for method in ("farkas", "vertices"):
             rep = synthesize_and_verify(load("P4"), load("P2"), p_init(), method=method)
             assert rep.verdict and rep.bv_impl > rep.bv_spec

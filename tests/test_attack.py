@@ -1,12 +1,13 @@
 """Separating directions, channel construction, end-to-end attacks."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import ht, load, p_init, run_module
-from oracles import refinement_score_range
+from conftest import ht, load, p_init, rand_partition, run_module
+from oracles import refinement_score_range, vertex_margin
 from hyperflow import attack
 from hyperflow.attack import (
     build_attack_channel,
@@ -22,7 +23,7 @@ from hyperflow.lang import desugar, parse, parse_program, pretty_print, project_
 from hyperflow.matrix import RatMatrix
 from hyperflow.measures import BAYES, bayes_vuln, elementary_compare
 from hyperflow.probcore import FiniteDist, vbool, vnum
-from hyperflow.refine import bv_partition, extract_partition
+from hyperflow.refine import bv_partition, extract_partition, hidden_columns
 from hyperflow.semantics import Scope, SplitState
 from hyperflow.semantics import eval as eval_hyper
 
@@ -94,12 +95,34 @@ def test_vertex_direction_is_pinned():
     assert all(-1 <= q <= 1 for row in d.x.rows for q in row)
 
 
-def test_vertex_budget():
-    from hyperflow.errors import VertexBudgetExceeded
+def test_vertex_route_past_a_million_vertices():
+    # 4 ** 11 deterministic merges; the epigraph LP has 11 * 4 + 1 + 12 rows
+    rng = random.Random(3)
+    pi_s, pi_i = rand_partition(rng, 11, 3), rand_partition(rng, 4, 3)
+    d = separating_direction_by_vertices(pi_s, pi_i)
+    assert d.margin > 0
+    # the certificate's X, scaled into [-1, 1], is feasible for the same box
+    farkas = separating_direction_from_certificate(pi_s, pi_i)
+    scale = max(abs(q) for row in farkas.x.rows for q in row)
+    assert d.margin >= farkas.margin / scale
 
-    pi_s, pi_i = paper_partitions()
-    with pytest.raises(VertexBudgetExceeded):
-        separating_direction_by_vertices(pi_s, pi_i, vertex_cap=1)
+
+def test_vertex_route_meets_the_vertex_enumeration_optimum():
+    rng = random.Random(24)
+    separated = 0
+    for _ in range(60):
+        n_h = rng.randint(1, 4)
+        pi_s = rand_partition(rng, rng.randint(1, 3), n_h)
+        pi_i = rand_partition(rng, rng.randint(1, 3), n_h)
+        h_columns = hidden_columns(pi_s, pi_i)
+        optimum = vertex_margin(pi_s.matrix(h_columns), pi_i.matrix(h_columns))
+        if optimum == 0:
+            with pytest.raises(NotSeparable):
+                separating_direction_by_vertices(pi_s, pi_i)
+            continue
+        assert separating_direction_by_vertices(pi_s, pi_i).margin == optimum
+        separated += 1
+    assert separated >= 40
 
 
 def test_separation_refused_for_refining_pair():

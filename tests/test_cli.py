@@ -202,6 +202,37 @@ def test_attack_writes_context(tmp_path, capsys):
     parse(ctx_file.read_text())  # emitted context is valid source
 
 
+def test_attack_by_vertices_is_pinned(tmp_path, capsys):
+    ctx_file = tmp_path / "ctx.hprog"
+    code, out, _ = invoke(
+        capsys,
+        "attack",
+        str(CORPUS / "P4.hprog"),
+        str(CORPUS / "P2.hprog"),
+        "--method",
+        "vertices",
+        "--init",
+        "v=0; h~uniform",
+        "-o",
+        str(ctx_file),
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"]
+    assert (payload["bv_spec_with_context"], payload["bv_impl_with_context"]) == ("23/39", "8/13")
+    assert ctx_file.read_text() == (
+        "hid h : {1, 2, 3, 0};\n"
+        "vis v : {0, 1, 2, 4};\n"
+        "\n"
+        "if v = 1 then\n"
+        "  h <- ({1 @ 6 / 13, 2 @ 5 / 13, 3 @ 2 / 13} if h = 1 else "
+        "({1 @ 4 / 13, 2 @ 4 / 13, 3 @ 4 / 13, 0 @ 1 / 13} if h = 2 else "
+        "{1 @ 2 / 13, 2 @ 5 / 13, 3 @ 6 / 13}))\n"
+        "else\n"
+        "  h := 1\n"
+        "fi\n"
+    )
+
+
 def test_attack_past_a_thousand_hidden_values(tmp_path, capsys, monkeypatch):
     # the context selects its channel row with one conditional of 1099 arms
     reports, synthesize = [], attack.synthesize_and_verify

@@ -238,3 +238,20 @@ def test_not_refined_atomic_pairs_have_verified_attacks_over_two_hidden_variable
                 assert rep.verdict
             attacked += 1
     assert attacked >= 20
+
+
+def test_not_refined_reveal_pairs_have_verified_attacks_by_both_routes():
+    # P ; reveal h leaks at least what P does, so where P does not refine
+    # to it both routes build a context that tells them apart
+    rng = random.Random(7)
+    attacked = 0
+    for _ in range(50):
+        body = rand_program(rng, depth=3, allow_local=False, k_dom=2)
+        p = desugar(A.Module(TWO_HIDDEN_HEADER.decls, body))
+        impl = A.Module(p.decls, A.Seq(p.body, A.Reveal(A.Name("h"))))
+        s = rand_small_init(rng, k_dom=2)
+        if isinstance(check_refinement(eval_module(p, s), eval_module(impl, s)), NotRefined):
+            for method in ("farkas", "vertices"):
+                assert synthesize_and_verify(p, impl, s, method=method).verdict
+            attacked += 1
+    assert attacked >= 40

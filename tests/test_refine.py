@@ -12,6 +12,7 @@ from conftest import (
     load,
     p_init,
     rand_hyper,
+    rand_partition,
     rand_refinement_matrix,
     refine_hyper,
     run_module,
@@ -323,19 +324,6 @@ def test_decompose_reconstructs_random_matrices():
 
 
 # -- presolved LP against the plain LP --------------------------------------------
-
-
-def rand_partition(rng, n_fractions, n_h, weight=F(1)):
-    """n_fractions random fractions over the hidden values 0..n_h-1 that
-    add up to `weight`; each uses a random subset of the hidden values."""
-    shares = [F(rng.randint(1, 9)) for _ in range(n_fractions)]
-    total = sum(shares)
-    out = []
-    for share in shares:
-        hs = rng.sample(range(n_h), rng.randint(1, n_h))
-        ws = [F(rng.randint(1, 9)) for _ in hs]
-        out.append(frac(*[(h, w / sum(ws) * share / total * weight) for h, w in zip(hs, ws)]))
-    return Partition.of(out)
 
 
 def merge_partition(rng, pi, rows):
